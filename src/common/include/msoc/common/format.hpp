@@ -29,4 +29,8 @@ namespace msoc {
 /// documents stay byte-identical.
 [[nodiscard]] std::string shortest_double(double value);
 
+/// Exactly 16 lowercase hex digits, zero-padded (content digests and
+/// hashes).
+[[nodiscard]] std::string hex64(std::uint64_t value);
+
 }  // namespace msoc

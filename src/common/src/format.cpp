@@ -1,6 +1,8 @@
 #include "msoc/common/format.hpp"
 
 #include <charconv>
+#include <cinttypes>
+#include <cstdio>
 #include <sstream>
 
 #include "msoc/common/error.hpp"
@@ -63,6 +65,12 @@ std::string shortest_double(double value) {
   check_invariant(result.ec == std::errc(),
                   "shortest_double buffer too small");
   return std::string(buf, result.ptr);
+}
+
+std::string hex64(std::uint64_t value) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016" PRIx64, value);
+  return buf;
 }
 
 }  // namespace msoc

@@ -179,8 +179,8 @@ class FrontierEngine {
   /// cold run() — baseline entries are reused only where the makespan
   /// is provably the same function of the surviving content.  Falls
   /// back to a plain run() (with a warning, replanned_from empty) when
-  /// the engine has no cache or the baseline store has no inventory
-  /// (missing file or legacy v1/v2 schema).
+  /// the engine has no cache or the baseline has no v4 store carrying
+  /// an inventory (stores in the v1-v3 layout are not read).
   [[nodiscard]] FrontierResult replan(const std::string& baseline_digest);
 
   [[nodiscard]] const std::string& digest() const noexcept {

@@ -1,7 +1,8 @@
 #pragma once
 // Persistent TAM-optimizer result cache (the msoc-cache-v4 sharded,
-// journaled store documented in docs/formats.md; v1/v2/v3 single-file
-// stores are still read).
+// journaled store documented in docs/formats.md).  Stores written by
+// the v1-v3 single-file layout (<dir>/<digest>.json) are not read: an
+// unread store costs a recompute, never a wrong answer.
 //
 // What is cached: schedule_soc makespans — the expensive, pure part of
 // a CombinationCost.  Everything else in Eq. 2 (C_A, C_time, the
@@ -32,21 +33,19 @@
 // and the snapshot header carry it).
 //
 // On-disk layout (msoc-cache-v4):
-//   <dir>/<digest>.json      legacy v1/v2/v3 store (read-only compat;
-//                            deleted once compaction migrates it)
 //   <dir>/<pp>/journal.wal   per-shard append-only WAL (pp = first two
 //                            hex chars of the digest); flush() appends
 //                            this run's overlay as checksummed records
 //                            under an exclusive flock — O(overlay),
 //                            one fsync per dirty shard
-//   <dir>/<pp>/<digest>.json v4 snapshot (v3 body, v4 schema string),
+//   <dir>/<pp>/<digest>.json v4 snapshot,
 //                            written by compaction when the journal
 //                            crosses CacheTuning::compact_threshold_
 //                            bytes, or explicitly via compact()
 //
-// A store opens as legacy-file ∪ snapshot ∪ journal replay (later
-// layers win).  Replay tolerates torn journal tails — the artifact of
-// a writer killed mid-append — by truncating at the first bad record
+// A store opens as snapshot ∪ journal replay (later layers win).
+// Replay tolerates torn journal tails — the artifact of a writer
+// killed mid-append — by truncating at the first bad record
 // (readers just stop there; the next appender physically truncates
 // under its exclusive lock).  Complete-but-corrupt records and
 // unusable headers count toward corrupt_files() and never abort a run.
@@ -67,6 +66,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "msoc/common/file_lock.hpp"
@@ -75,6 +75,10 @@
 #include "msoc/soc/delta.hpp"
 #include "msoc/soc/soc.hpp"
 #include "msoc/tam/packing.hpp"
+
+namespace msoc {
+class JsonValue;
+}  // namespace msoc
 
 namespace msoc::plan {
 
@@ -114,7 +118,6 @@ struct CompactionStats {
   int shards_compacted = 0;       ///< Journals folded and reset.
   long long records_folded = 0;   ///< Journal records folded away.
   int snapshots_written = 0;      ///< v4 snapshot files (re)written.
-  int legacy_files_migrated = 0;  ///< v1/v2/v3 files rewritten as v4.
 };
 
 class ResultCache {
@@ -172,11 +175,11 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Loads the snapshot for one SOC digest: legacy `<digest>.json`,
-  /// then the shard's v4 snapshot, then a replay of the shard journal
-  /// (shared-locked; later layers win).  Idempotent and thread-safe
-  /// (internally locked), but the file I/O happens under the lock, so
-  /// prefer opening every digest up front before fanning lookups out.
+  /// Loads the snapshot for one SOC digest: the shard's v4 snapshot,
+  /// then a replay of the shard journal (shared-locked; later layers
+  /// win).  Idempotent and thread-safe (internally locked), but the
+  /// file I/O happens under the lock, so prefer opening every digest
+  /// up front before fanning lookups out.
   /// Unreadable or corrupt artifacts load as absent and bump
   /// corrupt_files().  May evict an older clean store (see
   /// CacheTuning::max_open_stores).
@@ -188,9 +191,9 @@ class ResultCache {
   void open(const std::string& digest, const soc::Soc& soc);
 
   /// The inventory of an opened store — from the SOC it was opened
-  /// with, from a journal meta record, or from the v3/v4 file header;
-  /// nullopt for never-opened digests and legacy v1/v2 files (those
-  /// cannot seed a replan).
+  /// with, from a journal meta record, or from the snapshot header;
+  /// nullopt for never-opened digests and stores that carry none
+  /// (those cannot seed a replan).
   [[nodiscard]] std::optional<soc::DigestInventory> inventory(
       const std::string& digest) const;
 
@@ -218,10 +221,10 @@ class ResultCache {
   void flush();
 
   /// Folds every shard journal under the cache directory into v4
-  /// snapshot files, resets the journals, and migrates any remaining
-  /// legacy v1/v2/v3 single-file stores into v4 shards (deleting the
-  /// legacy files).  Safe against concurrent writers (per-shard
-  /// exclusive locks).  Also flushes pending overlays first.
+  /// snapshot files and resets the journals.  Files outside the shard
+  /// directories (such as v1-v3 stores) are left untouched.  Safe
+  /// against concurrent writers (per-shard exclusive locks).  Also
+  /// flushes pending overlays first.
   CompactionStats compact();
 
   [[nodiscard]] bool disk_backed() const noexcept {
@@ -285,18 +288,20 @@ class ResultCache {
     bool torn_counted = false;     ///< Dedup torn_tails per tail.
   };
 
-  [[nodiscard]] std::string legacy_path(const std::string& digest) const;
   [[nodiscard]] std::string shard_dir(const std::string& shard) const;
   [[nodiscard]] std::string journal_path(const std::string& shard) const;
   [[nodiscard]] std::string snapshot_path(const std::string& digest) const;
 
   void open_locked(const std::string& digest, const std::string& soc_name);
   void maybe_evict_locked();
-  /// Loads one legacy or v4 snapshot file into `store` (merge, later
-  /// wins); returns false when the file was corrupt (counted).
+  /// One entry object of a snapshot file or an "entry" journal
+  /// record; throws ParseError naming `path` when malformed.
+  [[nodiscard]] static std::pair<EntryKey, Entry> parse_entry(
+      const JsonValue& item, const std::string& path);
+  /// Loads one v4 snapshot file into `store` (merge, later wins);
+  /// returns false when the file was corrupt (counted).
   bool load_snapshot_file_locked(const std::string& path,
-                                 const std::string& digest, bool v4,
-                                 Store& store);
+                                 const std::string& digest, Store& store);
   /// Forgets everything cached about one shard journal (tail staging,
   /// dedup flags, the stores' meta-journaled marks) — called when the
   /// generation changes under us or the journal is reset.

@@ -8,10 +8,12 @@
 // cache of parsed .soc texts, and — when configured with a cache
 // directory — ONE shared ResultCache whose in-memory snapshot/overlay
 // is the hot layer over the msoc-cache-v4 store on disk.  handle()
-// maps a JSON request envelope to a JSON response envelope
-// (docs/formats.md, "msoc-rpc-v1"); planning documents travel inside
-// the envelope as escaped strings, byte-identical to the JSON a
-// standalone `msoc_plan` with the same flags would write.
+// decodes a JSON request envelope into a plan::PlanRequest and runs it
+// through plan::execute — the same executor a standalone msoc_plan run
+// calls (msoc/plan/request.hpp) — so planning documents travel inside
+// the reply envelope as escaped strings, byte-identical to the JSON
+// `msoc_plan` with the same flags writes (docs/formats.md,
+// "msoc-rpc-v1").
 //
 // Concurrency contract (the "millions of users" shape):
 //   * handle() is thread-safe and called concurrently by the server's
@@ -33,11 +35,14 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "msoc/plan/result_cache.hpp"
 #include "msoc/soc/soc.hpp"
 
 namespace msoc::plan {
+
+struct PlanRequest;
 
 struct ServiceLimits {
   /// Hard cap on one request's evaluation threads (0 = uncapped).
@@ -90,18 +95,15 @@ class PlanService {
   }
 
  private:
-  struct Request;
   struct Pending;
 
-  [[nodiscard]] Request parse_request(std::string_view request_json) const;
-  [[nodiscard]] std::string canonical_key(const Request& request) const;
-  [[nodiscard]] std::string evaluate(const Request& request);
-  [[nodiscard]] std::string evaluate_frontier(const Request& request);
-  [[nodiscard]] std::string evaluate_sweep(const Request& request);
-  [[nodiscard]] std::string evaluate_plan(const Request& request);
+  /// Runs one planning request through execute() and wraps the
+  /// outcome in the reply envelope.
+  [[nodiscard]] std::string evaluate(const PlanRequest& request);
   /// By value: a reference into soc_lru_ could be evicted by a
   /// concurrent request while an evaluation still holds it.
-  [[nodiscard]] soc::Soc resolve_soc(const Request& request);
+  [[nodiscard]] std::vector<soc::Soc> resolve_socs(
+      const PlanRequest& request);
   [[nodiscard]] int effective_jobs(int jobs) const;
   [[nodiscard]] std::string stats_reply() const;
   void memo_insert_locked(const std::string& key, const std::string& reply);

@@ -4,8 +4,8 @@
 // (schema "msoc-sweep-v1", documented in docs/formats.md).  Each
 // (SOC, weight) pair routes through one plan::FrontierEngine walking
 // every width, so enumeration, Eq. 3 preliminaries and Pareto
-// staircases are shared across widths, and a cache_dir lets repeated
-// sweeps skip solved cells entirely.  This is the ITC'02-style
+// staircases are shared across widths, and a borrowed ResultCache lets
+// repeated sweeps skip solved cells entirely.  This is the ITC'02-style
 // multi-scenario harness the CLI's --sweep flag and the
 // bench/sweep_perf driver drive on every commit.
 
@@ -47,23 +47,19 @@ struct SweepConfig {
   /// to the engines' evaluation fan-out.  Both levels are
   /// deterministic, so results never depend on the value.
   int jobs = 1;
-  /// Persistent TAM-makespan cache directory (msoc-cache-v4; legacy
-  /// v1-v3 stores are read); empty disables caching.  Lookups see only the
-  /// state loaded at sweep start (results computed during the sweep
-  /// land on flush), so a warm re-run skips every solved cell while
-  /// per-row evaluation counts stay scheduling-independent.
-  std::string cache_dir;
-  /// Borrowed long-lived cache (the planning daemon's shared store);
-  /// mutually exclusive with cache_dir.  The sweep opens its SOCs'
-  /// digests, records into the shared overlay, and flushes at the end
-  /// like an owned cache, but the result's cache statistics are
-  /// DELTAS over this run (instance-lifetime counters would leak other
-  /// requests' traffic into the document).
+  /// Borrowed result cache (msoc-cache-v4), or null for none.  The
+  /// sweep opens its SOCs' digests up front, records into the overlay,
+  /// and flushes at the end.  Lookups see only the state loaded at
+  /// sweep start, so a warm re-run skips every solved cell while
+  /// per-row evaluation counts stay scheduling-independent.  The
+  /// result's cache statistics are DELTAS over this run (a long-lived
+  /// cache's lifetime counters would leak other runs' traffic into the
+  /// document).
   ResultCache* cache = nullptr;
   /// Incremental re-plan baseline: when non-empty, every series calls
   /// FrontierEngine::replan against the store flushed for this SOC
   /// digest (a previous revision), re-packing only partitions whose
-  /// core digests went dirty.  Requires cache_dir and exactly one SOC.
+  /// core digests went dirty.  Requires a cache and exactly one SOC.
   std::string replan_from;
 
   /// Number of cases the cross product produces.
@@ -113,7 +109,7 @@ struct SweepResult {
   bool exhaustive = false;
   double epsilon = 0.0;
   /// Result-cache statistics, populated when the sweep ran with a
-  /// cache_dir (cache_used true; all zero otherwise).
+  /// cache (cache_used true; all zero otherwise).
   bool cache_used = false;
   long long cache_hits = 0;
   long long cache_misses = 0;

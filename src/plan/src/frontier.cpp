@@ -387,7 +387,7 @@ FrontierResult FrontierEngine::replan(const std::string& baseline_digest) {
       cache->inventory(baseline_digest);
   if (!baseline.has_value()) {
     log_warn("baseline store ", baseline_digest,
-             " has no digest inventory (missing file or pre-v3 schema); "
+             " has no digest inventory (no v4 store for it); "
              "planning cold");
     return run();
   }

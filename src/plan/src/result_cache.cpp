@@ -1,9 +1,7 @@
 #include "msoc/plan/result_cache.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
@@ -23,18 +21,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr const char* kSchemaV1 = "msoc-cache-v1";
-constexpr const char* kSchemaV2 = "msoc-cache-v2";
-constexpr const char* kSchemaV3 = "msoc-cache-v3";
 constexpr const char* kSchemaV4 = "msoc-cache-v4";
 constexpr const char* kJournalName = "journal.wal";
 constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-  return std::string(buf);
-}
 
 /// The shard a digest's journal records live in: the first two digest
 /// characters (hex in practice), sanitized so a hostile digest can
@@ -247,10 +236,6 @@ ResultCache::ResultCache(std::string directory, CacheTuning tuning)
           "cache tuning needs max_open_stores >= 1");
 }
 
-std::string ResultCache::legacy_path(const std::string& digest) const {
-  return (fs::path(directory_) / (digest + ".json")).string();
-}
-
 std::string ResultCache::shard_dir(const std::string& shard) const {
   return (fs::path(directory_) / shard).string();
 }
@@ -264,24 +249,65 @@ std::string ResultCache::snapshot_path(const std::string& digest) const {
       .string();
 }
 
+std::pair<ResultCache::EntryKey, ResultCache::Entry> ResultCache::parse_entry(
+    const JsonValue& item, const std::string& path) {
+  const std::optional<Cycles> width = as_cycles(item.at("width"));
+  const std::optional<Cycles> time = as_cycles(item.at("test_time"));
+  // Zero-cycle makespans are impossible (every SOC tests something)
+  // and a zero T_max baseline would divide costs by zero — reject them
+  // here so readers can use entries without re-validating.
+  if (!width.has_value() || *width < 1 || !time.has_value() || *time < 1) {
+    throw ParseError(path, 0, "malformed cache entry");
+  }
+  EntryKey key;
+  key.tam_width = static_cast<int>(*width);
+  // A power budget the pack honored; absent means unconstrained.
+  if (const JsonValue* budget = item.find("max_power")) {
+    if (budget->type() != JsonValue::Type::kNumber ||
+        !std::isfinite(budget->as_number()) ||
+        !(budget->as_number() > 0.0)) {
+      throw ParseError(path, 0, "malformed cache entry");
+    }
+    key.max_power = budget->as_number();
+  }
+  // Windowed entries carry both fields; absent means unwindowed.
+  if (const JsonValue* wcycles = item.find("window_cycles")) {
+    const std::optional<Cycles> cycles = as_cycles(*wcycles);
+    const JsonValue* wlimit = item.find("window_limit");
+    if (!cycles.has_value() || *cycles < 1 || wlimit == nullptr ||
+        wlimit->type() != JsonValue::Type::kNumber ||
+        !std::isfinite(wlimit->as_number()) ||
+        !(wlimit->as_number() > 0.0)) {
+      throw ParseError(path, 0, "malformed cache entry");
+    }
+    key.window_cycles = *cycles;
+    key.window_limit = wlimit->as_number();
+  }
+  key.fingerprint = item.at("packing").as_string();
+  key.partition = item.at("partition").as_string();
+  Entry entry;
+  entry.test_time = *time;
+  if (const JsonValue* label = item.find("label")) {
+    entry.label = label->as_string();
+  }
+  return {std::move(key), std::move(entry)};
+}
+
 bool ResultCache::load_snapshot_file_locked(const std::string& path,
                                             const std::string& digest,
-                                            bool v4, Store& store) {
+                                            Store& store) {
   try {
     const std::optional<std::string> text = read_file_if_exists(path);
     if (!text.has_value()) return true;  // absent is not corrupt
     const JsonValue doc = parse_json(*text, path);
-    const std::string schema = doc.at("schema").as_string();
-    const bool schema_ok =
-        v4 ? schema == kSchemaV4
-           : (schema == kSchemaV1 || schema == kSchemaV2 ||
-              schema == kSchemaV3);
-    if (!schema_ok) throw ParseError(path, 0, "unexpected schema");
+    if (doc.at("schema").as_string() != kSchemaV4) {
+      throw ParseError(path, 0, "unexpected schema");
+    }
     if (doc.at("digest").as_string() != digest) {
       throw ParseError(path, 0, "digest does not match file");
     }
-    // The v3/v4 header carries the SOC's digest inventory so the store
-    // can seed a replan; legacy v1/v2 stores load without one.
+    // The header carries the SOC's digest inventory so the store can
+    // seed a replan.
     std::optional<soc::DigestInventory> inventory;
     if (const JsonValue* header = doc.find("inventory")) {
       inventory = parse_inventory(*header, path);
@@ -292,47 +318,7 @@ bool ResultCache::load_snapshot_file_locked(const std::string& path,
     }
     std::map<EntryKey, Entry> loaded;
     for (const JsonValue& item : doc.at("entries").as_array()) {
-      const std::optional<Cycles> width = as_cycles(item.at("width"));
-      const std::optional<Cycles> time = as_cycles(item.at("test_time"));
-      // Zero-cycle makespans are impossible (every SOC tests something)
-      // and a zero T_max baseline would divide costs by zero — reject
-      // them here so readers can use entries without re-validating.
-      if (!width.has_value() || *width < 1 || !time.has_value() ||
-          *time < 1) {
-        throw ParseError(path, 0, "malformed cache entry");
-      }
-      EntryKey key;
-      key.tam_width = static_cast<int>(*width);
-      // v2+ entries may carry the power budget the pack honored;
-      // absent (every v1 entry) means unconstrained.
-      if (const JsonValue* budget = item.find("max_power")) {
-        if (budget->type() != JsonValue::Type::kNumber ||
-            !std::isfinite(budget->as_number()) ||
-            !(budget->as_number() > 0.0)) {
-          throw ParseError(path, 0, "malformed cache entry");
-        }
-        key.max_power = budget->as_number();
-      }
-      // Windowed entries carry both fields; absent means unwindowed.
-      if (const JsonValue* wcycles = item.find("window_cycles")) {
-        const std::optional<Cycles> cycles = as_cycles(*wcycles);
-        const JsonValue* wlimit = item.find("window_limit");
-        if (!cycles.has_value() || *cycles < 1 || wlimit == nullptr ||
-            wlimit->type() != JsonValue::Type::kNumber ||
-            !std::isfinite(wlimit->as_number()) ||
-            !(wlimit->as_number() > 0.0)) {
-          throw ParseError(path, 0, "malformed cache entry");
-        }
-        key.window_cycles = *cycles;
-        key.window_limit = wlimit->as_number();
-      }
-      key.fingerprint = item.at("packing").as_string();
-      key.partition = item.at("partition").as_string();
-      Entry entry;
-      entry.test_time = *time;
-      if (const JsonValue* label = item.find("label")) {
-        entry.label = label->as_string();
-      }
+      auto [key, entry] = parse_entry(item, path);
       loaded.insert_or_assign(std::move(key), std::move(entry));
     }
     // Commit only after the whole file parsed (no partial merges).
@@ -380,44 +366,7 @@ void ResultCache::apply_payload_locked(const std::string& shard_key,
                        "journal record digest outside its shard");
     }
     if (op == "entry") {
-      const std::optional<Cycles> width = as_cycles(doc.at("width"));
-      const std::optional<Cycles> time = as_cycles(doc.at("test_time"));
-      if (!width.has_value() || *width < 1 || !time.has_value() ||
-          *time < 1) {
-        throw ParseError(journal_path(shard_key), 0,
-                         "malformed journal entry");
-      }
-      EntryKey key;
-      key.tam_width = static_cast<int>(*width);
-      if (const JsonValue* budget = doc.find("max_power")) {
-        if (budget->type() != JsonValue::Type::kNumber ||
-            !std::isfinite(budget->as_number()) ||
-            !(budget->as_number() > 0.0)) {
-          throw ParseError(journal_path(shard_key), 0,
-                           "malformed journal entry");
-        }
-        key.max_power = budget->as_number();
-      }
-      if (const JsonValue* wcycles = doc.find("window_cycles")) {
-        const std::optional<Cycles> cycles = as_cycles(*wcycles);
-        const JsonValue* wlimit = doc.find("window_limit");
-        if (!cycles.has_value() || *cycles < 1 || wlimit == nullptr ||
-            wlimit->type() != JsonValue::Type::kNumber ||
-            !std::isfinite(wlimit->as_number()) ||
-            !(wlimit->as_number() > 0.0)) {
-          throw ParseError(journal_path(shard_key), 0,
-                           "malformed journal entry");
-        }
-        key.window_cycles = *cycles;
-        key.window_limit = wlimit->as_number();
-      }
-      key.fingerprint = doc.at("packing").as_string();
-      key.partition = doc.at("partition").as_string();
-      Entry entry;
-      entry.test_time = *time;
-      if (const JsonValue* label = doc.find("label")) {
-        entry.label = label->as_string();
-      }
+      auto [key, entry] = parse_entry(doc, journal_path(shard_key));
       shard.tail[digest].entries.insert_or_assign(std::move(key),
                                                   std::move(entry));
     } else if (op == "meta") {
@@ -576,11 +525,9 @@ void ResultCache::open_locked(const std::string& digest,
   store.last_used = ++use_tick_;
   if (!soc_name.empty()) store.soc_name = soc_name;
   if (!inserted || !disk_backed()) return;
-  // Layered load, later layers win: legacy single-file store, then the
-  // v4 snapshot, then a replay of the shard journal.
-  load_snapshot_file_locked(legacy_path(digest), digest, /*v4=*/false, store);
-  load_snapshot_file_locked(snapshot_path(digest), digest, /*v4=*/true,
-                            store);
+  // Layered load, later layers win: the snapshot, then a replay of the
+  // shard journal.
+  load_snapshot_file_locked(snapshot_path(digest), digest, store);
   scan_shard_shared_locked(shard_key_of(digest));
   apply_staged_locked(digest, store);
 }
@@ -739,10 +686,7 @@ void ResultCache::compact_shard_locked(const std::string& shard_key,
     // into the snapshot file and reset the journal — re-reading the
     // file here is the only way not to lose them when we overwrite it.
     Store assembled;
-    load_snapshot_file_locked(legacy_path(digest), digest, /*v4=*/false,
-                              assembled);
-    load_snapshot_file_locked(snapshot_path(digest), digest, /*v4=*/true,
-                              assembled);
+    load_snapshot_file_locked(snapshot_path(digest), digest, assembled);
     const auto it = stores_.find(digest);
     if (it != stores_.end()) {
       // Layer the open store on top: it folds journal-at-open + this
@@ -773,12 +717,6 @@ void ResultCache::compact_shard_locked(const std::string& shard_key,
                       /*sync=*/true);
     ++stats.snapshots_written;
     stats.records_folded += static_cast<long long>(staged.entries.size());
-    // The v4 snapshot now supersedes any legacy v1/v2/v3 file — this
-    // is the v1→v4 migration step.
-    std::error_code ec;
-    if (fs::remove(legacy_path(digest), ec) && !ec) {
-      ++stats.legacy_files_migrated;
-    }
   }
   // Reset the journal: new-generation header first, then drop the
   // folded records.  A crash in between leaves old records under a new
@@ -803,20 +741,15 @@ CompactionStats ResultCache::compact() {
   std::error_code ec;
   if (!fs::is_directory(directory_, ec) || ec) return stats;
   std::vector<std::string> shard_keys;
-  std::vector<std::string> legacy_digests;
   for (const fs::directory_entry& entry :
        fs::directory_iterator(directory_, ec)) {
-    if (entry.is_directory(ec)) {
-      std::error_code probe;
-      if (fs::is_regular_file(entry.path() / kJournalName, probe)) {
-        shard_keys.push_back(entry.path().filename().string());
-      }
-    } else if (entry.path().extension() == ".json") {
-      legacy_digests.push_back(entry.path().stem().string());
+    std::error_code probe;
+    if (entry.is_directory(ec) &&
+        fs::is_regular_file(entry.path() / kJournalName, probe)) {
+      shard_keys.push_back(entry.path().filename().string());
     }
   }
   std::sort(shard_keys.begin(), shard_keys.end());
-  std::sort(legacy_digests.begin(), legacy_digests.end());
   for (const std::string& shard_key : shard_keys) {
     try {
       FileLock journal = FileLock::exclusive(journal_path(shard_key));
@@ -829,34 +762,6 @@ CompactionStats ResultCache::compact() {
       log_warn("cannot compact cache shard ", shard_dir(shard_key), ": ",
                e.what());
     }
-  }
-  // Migrate legacy stores with no journal presence: rewrite as v4
-  // snapshots in their shard, then retire the legacy file.
-  for (const std::string& digest : legacy_digests) {
-    if (!read_file_if_exists(legacy_path(digest)).has_value()) {
-      continue;  // already migrated by a shard fold above
-    }
-    Store assembled;
-    if (!load_snapshot_file_locked(legacy_path(digest), digest, /*v4=*/false,
-                                   assembled)) {
-      continue;  // corrupt (counted); leave the evidence in place
-    }
-    load_snapshot_file_locked(snapshot_path(digest), digest, /*v4=*/true,
-                              assembled);
-    apply_staged_locked(digest, assembled);
-    try {
-      ensure_directory(shard_dir(shard_key_of(digest)));
-      write_file_atomic(snapshot_path(digest),
-                        serialize_store_locked(digest, assembled),
-                        /*sync=*/true);
-    } catch (const Error& e) {
-      log_warn("cannot migrate legacy cache store ", legacy_path(digest),
-               ": ", e.what());
-      continue;
-    }
-    fs::remove(legacy_path(digest), ec);
-    ++stats.snapshots_written;
-    ++stats.legacy_files_migrated;
   }
   return stats;
 }

@@ -1,25 +1,14 @@
 #include "msoc/plan/service.hpp"
 
-#include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdint>
-#include <limits>
 #include <sstream>
 #include <vector>
 
-#include "msoc/common/error.hpp"
-#include "msoc/common/format.hpp"
 #include "msoc/common/journal.hpp"
 #include "msoc/common/json.hpp"
-#include "msoc/common/parallel.hpp"
-#include "msoc/plan/frontier.hpp"
-#include "msoc/plan/optimizer.hpp"
-#include "msoc/plan/sweep.hpp"
-#include "msoc/soc/benchmarks.hpp"
+#include "msoc/plan/request.hpp"
 #include "msoc/soc/itc02.hpp"
-#include "msoc/tam/packing.hpp"
-#include "msoc/tam/schedule.hpp"
 
 namespace msoc::plan {
 
@@ -45,48 +34,7 @@ std::string ok_envelope(const std::string& op, const std::string& document,
   return out.str();
 }
 
-/// A JSON number that must be an integer in [lo, hi].
-int int_field(const JsonValue& value, const char* what, int lo) {
-  const double v = value.as_number();
-  require(std::isfinite(v) && v == std::floor(v) && v >= lo &&
-              v <= static_cast<double>(std::numeric_limits<int>::max()),
-          std::string(what) + " needs an integer >= " + std::to_string(lo));
-  return static_cast<int>(v);
-}
-
-std::string hex64(std::uint64_t value) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[value & 0xF];
-    value >>= 4;
-  }
-  return out;
-}
-
 }  // namespace
-
-/// The decoded, validated request envelope.  Optionals mirror the
-/// CLI's Options: absent means "use the same default msoc_plan would".
-struct PlanService::Request {
-  std::string op;
-  std::string bench;          ///< Built-in benchmark name; empty = none.
-  bool has_soc_text = false;  ///< soc_text field present.
-  std::string soc_text;
-  std::uint64_t soc_hash = 0;  ///< fnv1a64(soc_text).
-  std::optional<std::vector<int>> widths;
-  std::optional<int> width;
-  std::optional<std::vector<double>> max_powers;
-  /// Explicit sliding-window budget; absent = inherit the SOC's
-  /// declared window (the packing-options default).
-  std::optional<double> window_limit;
-  Cycles window_cycles = 0;
-  std::optional<double> w_time;
-  bool exhaustive = false;
-  double epsilon = 0.0;
-  int jobs = 1;
-  std::string replan_from;
-};
 
 /// Single-flight rendezvous for one canonical key: the leader fills
 /// reply/ok, flips done, and notifies; followers wait and copy.
@@ -101,315 +49,36 @@ struct PlanService::Pending {
 PlanService::PlanService(std::string cache_dir, ServiceLimits limits)
     : limits_(limits) {
   if (!cache_dir.empty()) cache_.emplace(std::move(cache_dir));
-  benches_.emplace("p93791m", soc::make_p93791m());
-  benches_.emplace("d695m", soc::make_d695m());
-  benches_.emplace("p93791", soc::make_p93791());
-  benches_.emplace("d695", soc::make_d695());
+  for (const char* name : {"p93791m", "d695m", "p93791", "d695"}) {
+    benches_.emplace(name, make_builtin_soc(name));
+  }
 }
 
-PlanService::Request PlanService::parse_request(
-    std::string_view request_json) const {
-  const JsonValue root = parse_json(std::string(request_json),
-                                    "msoc-rpc request");
-  require(root.type() == JsonValue::Type::kObject,
-          "request must be a JSON object");
-  require(root.at("schema").as_string() == kRpcSchema,
-          std::string("unsupported request schema (expected ") + kRpcSchema +
-              ")");
-  Request request;
-  request.op = root.at("op").as_string();
-  require(request.op == "ping" || request.op == "stats" ||
-              request.op == "shutdown" || request.op == "plan" ||
-              request.op == "sweep" || request.op == "frontier",
-          "unknown op: " + request.op +
-              " (expected ping, stats, shutdown, plan, sweep or frontier)");
-  if (request.op == "ping" || request.op == "stats" ||
-      request.op == "shutdown") {
-    return request;
-  }
-
-  if (const JsonValue* bench = root.find("bench")) {
-    request.bench = bench->as_string();
-    require(benches_.count(request.bench) != 0,
-            "unknown bench name: " + request.bench +
-                " (expected p93791m, d695m, p93791 or d695)");
-  }
-  if (const JsonValue* soc_text = root.find("soc_text")) {
-    request.has_soc_text = true;
-    request.soc_text = soc_text->as_string();
-    request.soc_hash = fnv1a64(request.soc_text);
-  }
-  require(!(request.has_soc_text && !request.bench.empty()),
-          "soc_text and bench are mutually exclusive");
-
-  if (const JsonValue* widths = root.find("widths")) {
-    std::vector<int> parsed;
-    for (const JsonValue& w : widths->as_array()) {
-      parsed.push_back(int_field(w, "widths entries", 1));
+std::vector<soc::Soc> PlanService::resolve_socs(const PlanRequest& request) {
+  std::vector<soc::Soc> socs;
+  if (!request.soc_text) {
+    for (const std::string& name : request.bench_names()) {
+      socs.push_back(benches_.at(name));
     }
-    require(!parsed.empty(), "widths needs at least one width");
-    request.widths = std::move(parsed);
+    return socs;
   }
-  if (const JsonValue* width = root.find("width")) {
-    request.width = int_field(*width, "width", 1);
-  }
-  require(!(request.width && request.widths),
-          "width and widths are mutually exclusive");
-  if (const JsonValue* powers = root.find("max_powers")) {
-    std::vector<double> parsed;
-    for (const JsonValue& p : powers->as_array()) {
-      const double v = p.as_number();
-      require(std::isfinite(v) && v >= 0.0,
-              "max_powers needs finite numbers >= 0");
-      parsed.push_back(v);
-    }
-    require(!parsed.empty(), "max_powers needs at least one budget");
-    request.max_powers = std::move(parsed);
-  }
-  require(request.op != "plan" || !request.max_powers ||
-              request.max_powers->size() == 1,
-          "a plan request takes exactly one max_powers value");
-  if (const JsonValue* limit = root.find("window_limit")) {
-    const double v = limit->as_number();
-    require(std::isfinite(v) && v >= 0.0,
-            "window_limit needs a finite number >= 0");
-    request.window_limit = v;
-  }
-  if (const JsonValue* cycles = root.find("window_cycles")) {
-    require(request.window_limit.has_value(),
-            "window_cycles needs a window_limit");
-    request.window_cycles =
-        static_cast<Cycles>(int_field(*cycles, "window_cycles", 1));
-  }
-  require(!request.window_limit || *request.window_limit == 0.0 ||
-              request.window_cycles > 0,
-          "a positive window_limit needs window_cycles");
-  if (const JsonValue* wt = root.find("wt")) {
-    const double v = wt->as_number();
-    require(std::isfinite(v) && v >= 0.0 && v <= 1.0,
-            "wt needs a number in [0,1]");
-    request.w_time = v;
-  }
-  if (const JsonValue* exhaustive = root.find("exhaustive")) {
-    request.exhaustive = exhaustive->as_bool();
-  }
-  if (const JsonValue* epsilon = root.find("epsilon")) {
-    const double v = epsilon->as_number();
-    require(std::isfinite(v) && v >= 0.0, "epsilon needs a number >= 0");
-    request.epsilon = v;
-  }
-  if (const JsonValue* jobs = root.find("jobs")) {
-    request.jobs = int_field(*jobs, "jobs", 0);
-  }
-  if (const JsonValue* replan = root.find("replan_from")) {
-    request.replan_from = replan->as_string();
-    require(request.op != "plan",
-            "replan_from needs a sweep or frontier request");
-    require(cache_.has_value(),
-            "replan_from needs a daemon running with --cache-dir (the "
-            "baseline store)");
-  }
-  return request;
-}
-
-std::string PlanService::canonical_key(const Request& request) const {
-  // Resolved-field serialization: two envelopes coalesce iff every
-  // planning input matches.  Absent optionals keep their marker (the
-  // per-op defaults are deterministic, so an explicit default and an
-  // absent field merely miss each other's memo entry — never wrong,
-  // just colder).
-  std::ostringstream key;
-  key << request.op << '\n';
-  if (request.has_soc_text) {
-    key << "text:" << hex64(request.soc_hash);
-  } else {
-    key << "bench:" << request.bench;
-  }
-  key << '\n';
-  if (request.widths) {
-    for (const int w : *request.widths) key << w << ',';
-  } else if (request.width) {
-    key << "w=" << *request.width;
-  }
-  key << '\n';
-  if (request.max_powers) {
-    for (const double p : *request.max_powers) {
-      key << round_trip_double(p) << ',';
+  const std::uint64_t hash = fnv1a64(*request.soc_text);
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (auto it = soc_lru_.begin(); it != soc_lru_.end(); ++it) {
+    if (it->first == hash) {
+      soc_lru_.splice(soc_lru_.begin(), soc_lru_, it);
+      socs.push_back(soc_lru_.front().second);
+      return socs;
     }
   }
-  key << '\n';
-  if (request.w_time) key << round_trip_double(*request.w_time);
-  key << '\n'
-      << (request.exhaustive ? 'x' : 'h') << '\n'
-      << round_trip_double(request.epsilon) << '\n'
-      << request.jobs << '\n'
-      << request.replan_from;
-  if (request.window_limit) {
-    // Appended only when present, so windowless requests keep the
-    // pre-window key bytes (the memo is per-process; this just keeps
-    // the serialization additive).
-    key << "\nwin:" << request.window_cycles << ':'
-        << round_trip_double(*request.window_limit);
-  }
-  return key.str();
-}
-
-soc::Soc PlanService::resolve_soc(const Request& request) {
-  if (request.has_soc_text) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = soc_lru_.begin(); it != soc_lru_.end(); ++it) {
-      if (it->first == request.soc_hash) {
-        soc_lru_.splice(soc_lru_.begin(), soc_lru_, it);
-        return soc_lru_.front().second;
-      }
+  socs.push_back(soc::parse_soc_string(*request.soc_text, "<rpc soc_text>"));
+  if (limits_.soc_cache_capacity > 0) {
+    soc_lru_.emplace_front(hash, socs.front());
+    while (soc_lru_.size() > limits_.soc_cache_capacity) {
+      soc_lru_.pop_back();
     }
-    soc::Soc soc = soc::parse_soc_string(request.soc_text, "<rpc soc_text>");
-    if (limits_.soc_cache_capacity > 0) {
-      soc_lru_.emplace_front(request.soc_hash, soc);
-      while (soc_lru_.size() > limits_.soc_cache_capacity) {
-        soc_lru_.pop_back();
-      }
-    }
-    return soc;
   }
-  const std::string& name =
-      request.bench.empty() ? std::string("p93791m") : request.bench;
-  return benches_.at(name);
-}
-
-namespace {
-
-std::vector<int> width_ladder(const std::optional<std::vector<int>>& widths,
-                              const std::optional<int>& width) {
-  if (widths) return *widths;
-  if (width) return {*width};
-  return {16, 24, 32, 48, 64};
-}
-
-}  // namespace
-
-std::string PlanService::evaluate_frontier(const Request& request) {
-  const soc::Soc soc = resolve_soc(request);
-  ResultCache* cache = this->cache();
-
-  FrontierOptions frontier;
-  frontier.widths = width_ladder(request.widths, request.width);
-  if (request.max_powers) frontier.max_powers = *request.max_powers;
-  if (request.window_limit) {
-    frontier.packing.window_limit = *request.window_limit;
-    frontier.packing.window_cycles = request.window_cycles;
-  }
-  const double w_time = request.w_time.value_or(0.5);
-  frontier.weights = {w_time, 1.0 - w_time};
-  frontier.exhaustive = request.exhaustive;
-  frontier.epsilon = request.epsilon;
-  frontier.jobs = effective_jobs(request.jobs);
-  frontier.cache = cache;
-
-  FrontierEngine engine(soc, frontier);
-  const FrontierResult result = request.replan_from.empty()
-                                    ? engine.run()
-                                    : engine.replan(request.replan_from);
-  if (cache != nullptr) cache->flush();
-  return ok_envelope("frontier", result.to_json(), result.to_csv());
-}
-
-std::string PlanService::evaluate_sweep(const Request& request) {
-  SweepConfig config;
-  if (!request.bench.empty() || request.has_soc_text) {
-    config.socs.push_back(resolve_soc(request));
-  } else {
-    config = default_benchmark_sweep();
-  }
-  if (request.width || request.widths) {
-    config.tam_widths = width_ladder(request.widths, request.width);
-  }
-  if (request.max_powers) config.max_powers = *request.max_powers;
-  if (request.window_limit) {
-    config.window_limit = *request.window_limit;
-    config.window_cycles = request.window_cycles;
-  }
-  if (request.w_time) config.time_weights = {*request.w_time};
-  config.exhaustive = request.exhaustive;
-  config.epsilon = request.epsilon;
-  config.jobs = effective_jobs(request.jobs);
-  config.cache = cache();
-  config.replan_from = request.replan_from;
-
-  const SweepResult result = run_sweep(config);
-  return ok_envelope("sweep", result.to_json(), result.to_csv());
-}
-
-std::string PlanService::evaluate_plan(const Request& request) {
-  const int width = request.width.value_or(32);
-  const double w_time = request.w_time.value_or(0.5);
-  const soc::Soc soc = resolve_soc(request);
-  const int jobs = effective_jobs(request.jobs);
-
-  PlanningProblem problem;
-  problem.soc = &soc;
-  problem.tam_width = width;
-  problem.weights = {w_time, 1.0 - w_time};
-  if (request.max_powers) {
-    problem.packing.max_power = request.max_powers->front();
-  }
-  if (request.window_limit) {
-    problem.packing.window_limit = *request.window_limit;
-    problem.packing.window_cycles = request.window_cycles;
-  }
-  const double max_power = tam::effective_max_power(soc, problem.packing);
-  const soc::PowerWindow window =
-      tam::effective_power_window(soc, problem.packing);
-
-  CostModel model(problem);
-  OptimizationResult result;
-  const auto started = std::chrono::steady_clock::now();
-  if (request.exhaustive) {
-    result = optimize_exhaustive(model, jobs);
-  } else {
-    HeuristicOptions heuristic;
-    heuristic.epsilon = request.epsilon;
-    heuristic.jobs = jobs;
-    result = optimize_cost_heuristic(model, heuristic);
-  }
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - started)
-                             .count();
-  const CombinationCost& best = result.best;
-
-  // Single-plan runs reuse the sweep schema with one case, exactly as
-  // the CLI's --json path does (including its jobs clamp).
-  SweepResult single;
-  single.exhaustive = request.exhaustive;
-  single.epsilon = request.epsilon;
-  single.jobs = std::min(jobs <= 0 ? hardware_jobs() : jobs,
-                         std::max(result.total_combinations, 1));
-  single.total_wall_ms = wall_ms;
-  SweepRow row;
-  row.soc_name = soc.name();
-  row.tam_width = width;
-  row.max_power = max_power;
-  if (window.active()) {
-    row.window_cycles = window.cycles;
-    row.window_limit = window.limit;
-  }
-  row.w_time = w_time;
-  row.algorithm = request.exhaustive ? "exhaustive" : "cost_optimizer";
-  row.best_label = best.label;
-  row.best_total = best.total;
-  row.c_time = best.c_time;
-  row.c_area = best.c_area;
-  row.test_time = best.test_time;
-  row.t_max = model.t_max();
-  row.evaluations = result.evaluations;
-  row.total_combinations = result.total_combinations;
-  row.evaluation_reduction_percent = result.evaluation_reduction_percent();
-  row.wall_ms = wall_ms;
-  single.rows.push_back(std::move(row));
-
-  const tam::Schedule schedule = model.schedule_for(best.partition);
-  return ok_envelope("plan", single.to_json(),
-                     tam::schedule_to_csv(schedule));
+  return socs;
 }
 
 int PlanService::effective_jobs(int jobs) const {
@@ -418,10 +87,14 @@ int PlanService::effective_jobs(int jobs) const {
   return jobs;
 }
 
-std::string PlanService::evaluate(const Request& request) {
-  if (request.op == "frontier") return evaluate_frontier(request);
-  if (request.op == "sweep") return evaluate_sweep(request);
-  return evaluate_plan(request);
+std::string PlanService::evaluate(const PlanRequest& request) {
+  PlanRequest capped = request;
+  if (limits_.jobs_cap > 0) {
+    capped.jobs = effective_jobs(static_cast<int>(request.jobs.value_or(1)));
+  }
+  const PlanOutcome outcome =
+      execute(capped, resolve_socs(request), cache());
+  return ok_envelope(op_name(request.op), outcome.document, outcome.csv);
 }
 
 std::string PlanService::stats_reply() const {
@@ -459,38 +132,38 @@ void PlanService::memo_insert_locked(const std::string& key,
 }
 
 std::string PlanService::handle(std::string_view request_json) {
-  Request request;
+  PlanRequest request;
   try {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.requests;
     }
-    request = parse_request(request_json);
+    request = PlanRequest::from_json(request_json);
   } catch (const std::exception& e) {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.errors;
     return error_envelope(e.what());
   }
 
-  if (request.op == "ping") {
+  if (request.op == PlanOp::kPing) {
     return std::string("{\"schema\":\"") + kRpcSchema +
            "\",\"ok\":true,\"op\":\"ping\"}";
   }
-  if (request.op == "stats") return stats_reply();
-  if (request.op == "shutdown") {
+  if (request.op == PlanOp::kStats) return stats_reply();
+  if (request.op == PlanOp::kShutdown) {
     std::lock_guard<std::mutex> lock(mutex_);
     shutdown_ = true;
     return std::string("{\"schema\":\"") + kRpcSchema +
            "\",\"ok\":true,\"op\":\"shutdown\"}";
   }
 
-  const std::string key = canonical_key(request);
+  const std::string key = request.canonical_key();
   std::shared_ptr<Pending> pending;
   bool leader = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (request.op == "frontier") ++stats_.frontier_requests;
-    else if (request.op == "sweep") ++stats_.sweep_requests;
+    if (request.op == PlanOp::kFrontier) ++stats_.frontier_requests;
+    else if (request.op == PlanOp::kSweep) ++stats_.sweep_requests;
     else ++stats_.plan_requests;
     const auto memo_it = memo_.find(key);
     if (memo_it != memo_.end()) {

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -73,11 +72,8 @@ SweepResult run_sweep(const SweepConfig& config) {
           "an explicit window limit needs a positive window length");
   require(!config.time_weights.empty(),
           "sweep needs at least one time weight");
-  require(config.cache == nullptr || config.cache_dir.empty(),
-          "a sweep takes a cache_dir OR a borrowed cache, not both");
-  require(config.replan_from.empty() || !config.cache_dir.empty() ||
-              config.cache != nullptr,
-          "replan needs a cache directory holding the baseline store");
+  require(config.replan_from.empty() || config.cache != nullptr,
+          "replan needs a cache holding the baseline store");
   require(config.replan_from.empty() || config.socs.size() == 1,
           "replan needs exactly one SOC (the baseline is one revision)");
 
@@ -111,14 +107,9 @@ SweepResult run_sweep(const SweepConfig& config) {
   // read the snapshot, never other workers' fresh results: which
   // worker computes a cell must not influence what another can see, or
   // evaluation counts would depend on scheduling.
-  std::optional<ResultCache> owned_cache;
-  if (!config.cache_dir.empty()) owned_cache.emplace(config.cache_dir);
-  ResultCache* cache =
-      config.cache != nullptr ? config.cache
-                              : (owned_cache.has_value() ? &*owned_cache
-                                                         : nullptr);
-  // Borrowed caches carry other requests' traffic: report deltas over
-  // this sweep, which for an owned cache equal the instance counters.
+  ResultCache* cache = config.cache;
+  // The cache may carry other runs' traffic: report deltas over this
+  // sweep.
   const long long base_hits = cache != nullptr ? cache->hits() : 0;
   const long long base_misses = cache != nullptr ? cache->misses() : 0;
   const long long base_records = cache != nullptr ? cache->records() : 0;

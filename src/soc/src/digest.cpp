@@ -1,9 +1,10 @@
 #include "msoc/soc/digest.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <vector>
+
+#include "msoc/common/format.hpp"
 
 namespace msoc::soc {
 
@@ -140,10 +141,6 @@ std::uint64_t digest(const Soc& soc) {
   return h.value();
 }
 
-std::string digest_hex(const Soc& soc) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, digest(soc));
-  return std::string(buf);
-}
+std::string digest_hex(const Soc& soc) { return hex64(digest(soc)); }
 
 }  // namespace msoc::soc

@@ -1,8 +1,8 @@
 // The msoc-cache-v4 store's crash-safety contract, tested from the
 // journal framing up: WAL round-trips, torn-tail truncation at every
 // byte offset of a record, checksum flips, replay idempotence,
-// compaction equivalence across flush cadences, the v1/v2/v3 legacy
-// read ladder, per-class corruption counting, LRU eviction, and the
+// compaction equivalence across flush cadences, per-class corruption
+// counting, old-layout stores being ignored, LRU eviction, and the
 // EntryKey NaN regression.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -17,7 +17,10 @@
 #include "msoc/common/error.hpp"
 #include "msoc/common/fileio.hpp"
 #include "msoc/common/journal.hpp"
+#include "msoc/plan/frontier.hpp"
 #include "msoc/plan/result_cache.hpp"
+#include "msoc/soc/benchmarks.hpp"
+#include "msoc/soc/digest.hpp"
 
 namespace msoc::plan {
 namespace {
@@ -187,7 +190,7 @@ TEST(CacheJournal, FlushAppendsAndAFreshCacheReplays) {
   EXPECT_GT(writer.journal_records(), 0);
   EXPECT_GT(writer.journal_bytes(), 0);
   EXPECT_TRUE(fs::is_regular_file(journal_file(dir)));
-  // No legacy top-level store file: v4 writes journals only.
+  // No top-level store file: v4 writes journals only.
   EXPECT_FALSE(fs::exists(fs::path(dir) / (std::string(kDigest) + ".json")));
 
   ResultCache reader(dir);
@@ -315,15 +318,6 @@ TEST(CacheJournal, CorruptClassesAreCountedPerJournal) {
     cache.open(kDigest);
     EXPECT_EQ(cache.corrupt_files(), 1);
   }
-  // Class 4: an unparseable legacy store file.
-  {
-    const std::string dir = fresh_dir("corrupt_legacy");
-    write_bytes(fs::path(dir) / (std::string(kDigest) + ".json"),
-                "{\"schema\": \"msoc-cache-v3\", \"digest\"");
-    ResultCache cache(dir);
-    cache.open(kDigest);
-    EXPECT_EQ(cache.corrupt_files(), 1);
-  }
 }
 
 TEST(CacheJournal, ReplayIsIdempotentAcrossOpens) {
@@ -399,81 +393,56 @@ TEST(CacheJournal, CompactionIsEquivalentAcrossFlushCadences) {
   EXPECT_EQ(reader.replayed_records(), 0);  // snapshot, not journal
 }
 
-// --- Legacy read ladder (fixtures under tests/data/). ---
+// --- Stores in the v1-v3 layout (<dir>/<digest>.json) are not read. ---
 
-void install_fixture(const std::string& dir, const char* fixture,
-                     const std::string& digest) {
-  const fs::path source = fs::path(MSOC_TESTS_DATA_DIR) / fixture;
-  ASSERT_TRUE(fs::is_regular_file(source)) << source;
-  fs::create_directories(dir);
-  fs::copy_file(source, fs::path(dir) / (digest + ".json"));
-}
-
-TEST(CacheLegacy, V1StoreHitsButCannotSeedReplan) {
-  const std::string dir = fresh_dir("legacy_v1");
-  const std::string digest = "1111aaaa2222bbbb";
-  install_fixture(dir, "cache_v1.json", digest);
-  ResultCache cache(dir);
-  cache.open(digest);
-  const ResultCache::EntryKey w16(16, 0.0, "00000000deadbeef",
-                                  "fix-a,fix-b|fix-c");
-  const ResultCache::EntryKey w32(32, 0.0, "00000000deadbeef",
-                                  "fix-a,fix-b|fix-c");
-  EXPECT_EQ(*cache.lookup(digest, w16), 4242u);
-  EXPECT_EQ(*cache.lookup(digest, w32), 2121u);
-  EXPECT_EQ(cache.corrupt_files(), 0);
-  // v1 carries no digest inventory: it may serve lookups but must
-  // refuse to seed a replan.
-  EXPECT_FALSE(cache.inventory(digest).has_value());
-}
-
-TEST(CacheLegacy, V2StoreReadsPowerEntriesButCannotSeedReplan) {
-  const std::string dir = fresh_dir("legacy_v2");
-  const std::string digest = "2222bbbb3333cccc";
-  install_fixture(dir, "cache_v2.json", digest);
-  ResultCache cache(dir);
-  cache.open(digest);
-  const ResultCache::EntryKey plain(16, 0.0, "00000000deadbeef",
-                                    "fix-a|fix-b");
-  const ResultCache::EntryKey powered(16, 250.0, "00000000deadbeef",
-                                      "fix-a|fix-b");
-  EXPECT_EQ(*cache.lookup(digest, plain), 9000u);
-  EXPECT_EQ(*cache.lookup(digest, powered), 9500u);
-  EXPECT_FALSE(cache.inventory(digest).has_value());
-}
-
-TEST(CacheLegacy, V3StoreReadsInventoryAndCompactionMigratesIt) {
-  const std::string dir = fresh_dir("legacy_v3");
+TEST(CacheJournal, OldLayoutStoreIsNeitherReadNorCountedNorDeleted) {
+  const std::string dir = fresh_dir("old_layout");
+  const soc::Soc soc = soc::make_d695m();
+  // A v3 store of an earlier revision, with an inventory header: once
+  // a usable replan baseline, now just a file in the cache root.
   const std::string digest = "3333cccc4444dddd";
-  install_fixture(dir, "cache_v3.json", digest);
+  const fs::path old_store = fs::path(dir) / (digest + ".json");
+  const std::string old_bytes =
+      "{\"schema\": \"msoc-cache-v3\", \"digest\": \"" + digest +
+      "\", \"soc_name\": \"d695m\", \"inventory\": {\"max_power\": 0, "
+      "\"digital\": [], \"analog\": []}, \"entries\": [{\"width\": 16, "
+      "\"packing\": \"00000000deadbeef\", \"partition\": \"fix-a\", "
+      "\"label\": \"l\", \"test_time\": 4242}]}";
+  write_bytes(old_store, old_bytes);
+  // An unparseable one is not corruption either: nothing looks at it.
+  const fs::path garbage = fs::path(dir) / (std::string(kDigest) + ".json");
+  write_bytes(garbage, "{\"schema\": \"msoc-cache-v3\", \"digest\"");
+
   ResultCache cache(dir);
   cache.open(digest);
-  const ResultCache::EntryKey plain(24, 0.0, "00000000deadbeef",
-                                    "fix-a,fix-b");
-  const ResultCache::EntryKey powered(24, 300.0, "00000000deadbeef",
-                                      "fix-a,fix-b");
-  EXPECT_EQ(*cache.lookup(digest, plain), 7777u);
-  EXPECT_EQ(*cache.lookup(digest, powered), 8888u);
-  const auto inventory = cache.inventory(digest);
-  ASSERT_TRUE(inventory.has_value());  // v3 CAN seed a replan
-  EXPECT_EQ(inventory->max_power, 300.0);
-  ASSERT_EQ(inventory->digital.size(), 1u);
-  ASSERT_EQ(inventory->analog.size(), 1u);
+  cache.open(kDigest);
+  EXPECT_FALSE(cache
+                   .lookup(digest, ResultCache::EntryKey(
+                                       16, 0.0, "00000000deadbeef", "fix-a"))
+                   .has_value());
+  EXPECT_FALSE(cache.inventory(digest).has_value());
+  EXPECT_EQ(cache.corrupt_files(), 0);
 
-  // Migration: compaction rewrites the legacy store as a v4 shard
-  // snapshot and deletes the old file.
+  // A replan against it falls back to a cold run, with the warning.
+  FrontierOptions options;
+  options.widths = {16};
+  options.cache = &cache;
+  FrontierEngine engine(soc, options);
+  ::testing::internal::CaptureStderr();
+  const FrontierResult result = engine.replan(digest);
+  const std::string warning = ::testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(result.replanned_from.empty());
+  EXPECT_GT(result.evaluations, 0);
+  EXPECT_NE(warning.find("has no digest inventory"), std::string::npos)
+      << warning;
+  EXPECT_NE(warning.find("planning cold"), std::string::npos) << warning;
+
+  // Compaction folds the new journal and leaves both old files alone.
   const CompactionStats stats = cache.compact();
-  EXPECT_EQ(stats.legacy_files_migrated, 1);
-  EXPECT_FALSE(fs::exists(fs::path(dir) / (digest + ".json")));
-  const fs::path snapshot = fs::path(dir) / "33" / (digest + ".json");
-  ASSERT_TRUE(fs::is_regular_file(snapshot));
-  EXPECT_NE(read_bytes(snapshot).find("msoc-cache-v4"), std::string::npos);
-  ResultCache migrated(dir);
-  migrated.open(digest);
-  EXPECT_EQ(*migrated.lookup(digest, plain), 7777u);
-  EXPECT_EQ(*migrated.lookup(digest, powered), 8888u);
-  ASSERT_TRUE(migrated.inventory(digest).has_value());
-  EXPECT_EQ(migrated.inventory(digest)->max_power, 300.0);
+  EXPECT_EQ(stats.snapshots_written, 1);
+  EXPECT_EQ(read_bytes(old_store), old_bytes);
+  EXPECT_TRUE(fs::is_regular_file(garbage));
+  EXPECT_EQ(cache.corrupt_files(), 0);
 }
 
 // --- EntryKey validation (the NaN strict-weak-ordering regression). ---

@@ -251,12 +251,12 @@ TEST(Frontier, CorruptCacheFallsBackToRecompute) {
   const std::string digest = soc::digest_hex(soc);
   const std::vector<std::string> garbage_files = {
       "{ not json at all",                      // unparseable
-      "{\"schema\": \"msoc-cache-v1\", \"dig",  // truncated
+      "{\"schema\": \"msoc-cache-v4\", \"dig",  // truncated
       "{\"schema\": \"wrong-schema\", \"digest\": \"" + digest +
           "\", \"entries\": []}",               // wrong schema
-      "{\"schema\": \"msoc-cache-v1\", \"digest\": \"beef\", "
+      "{\"schema\": \"msoc-cache-v4\", \"digest\": \"beef\", "
       "\"entries\": []}",                       // wrong digest
-      "{\"schema\": \"msoc-cache-v1\", \"digest\": \"" + digest +
+      "{\"schema\": \"msoc-cache-v4\", \"digest\": \"" + digest +
           "\", \"entries\": [{\"width\": -1, \"packing\": \"p\", "
           "\"partition\": \"q\", \"test_time\": 1}]}",  // bad entry
   };
@@ -267,8 +267,10 @@ TEST(Frontier, CorruptCacheFallsBackToRecompute) {
     // next iteration's supposedly cold run.
     const std::string dir =
         fresh_dir(("frontier_corrupt_" + std::to_string(g)).c_str());
-    ensure_directory(dir);
-    const std::string cache_file = dir + "/" + digest + ".json";
+    // The v4 snapshot of the digest, in its shard directory.
+    const std::string shard = dir + "/" + digest.substr(0, 2);
+    ensure_directory(shard);
+    const std::string cache_file = shard + "/" + digest + ".json";
     write_file_atomic(cache_file, garbage);
     ResultCache cache(dir);
     FrontierOptions options = d695m_options();
@@ -302,8 +304,9 @@ TEST(Frontier, StaleCacheEntriesRecomputedNotFatal) {
       FrontierEngine(soc, d695m_options({16})).run();
 
   const std::string dir = fresh_dir("frontier_stale");
-  ensure_directory(dir);
   const std::string digest = soc::digest_hex(soc);
+  const std::string shard = dir + "/" + digest.substr(0, 2);
+  ensure_directory(shard);
   std::vector<std::size_t> everyone(soc.analog_count());
   for (std::size_t i = 0; i < everyone.size(); ++i) everyone[i] = i;
   const mswrap::Partition all_share(
@@ -311,8 +314,8 @@ TEST(Frontier, StaleCacheEntriesRecomputedNotFatal) {
   // An absurdly small all-share baseline: every honest makespan
   // exceeds it, and a fresh pack disagrees with it.
   write_file_atomic(
-      dir + "/" + digest + ".json",
-      "{\"schema\": \"msoc-cache-v1\", \"digest\": \"" + digest +
+      shard + "/" + digest + ".json",
+      "{\"schema\": \"msoc-cache-v4\", \"digest\": \"" + digest +
           "\", \"soc_name\": \"d695m\", \"entries\": [{\"width\": 16, "
           "\"packing\": \"" + packing_fingerprint(tam::PackingOptions{}) +
           "\", \"partition\": \"" +

@@ -1,5 +1,6 @@
-// PlanService tests: envelope validation, byte-identity of served
-// documents against the engines they wrap, the response memo, and the
+// PlanService tests: envelope validation, the PlanRequest round trip
+// the CLI and the daemon share, byte-identity of served documents
+// against the engines they wrap, the response memo, and the
 // single-flight coalescing contract (N identical concurrent requests,
 // ONE evaluation).  Everything runs in-process — the socket transport
 // has its own suites (test_net, test_pland).
@@ -8,20 +9,27 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <limits>
+#include <random>
 #include <regex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "msoc/common/error.hpp"
 #include "msoc/common/json.hpp"
 #include "msoc/plan/frontier.hpp"
+#include "msoc/plan/request.hpp"
 #include "msoc/soc/benchmarks.hpp"
 
 namespace {
 
 using msoc::JsonValue;
 using msoc::parse_json;
+using msoc::plan::PlanOp;
+using msoc::plan::PlanRequest;
 using msoc::plan::PlanService;
 using msoc::plan::ServiceLimits;
 using msoc::plan::ServiceStats;
@@ -245,6 +253,134 @@ TEST(PlanService, CachelessSweepMatchesDefaultBenchmarkDocument) {
   // that is the byte-identity contract with standalone msoc_plan.
   EXPECT_EQ(document.at("schema").as_string(), "msoc-sweep-v1");
   EXPECT_EQ(document.at("cases").as_array().size(), 2u);
+}
+
+/// A random VALID request: every field independently absent or present,
+/// values drawn across each field's whole range (awkward doubles,
+/// integers at the range ends, strings over every byte value).
+PlanRequest random_request(std::mt19937_64& rng) {
+  const auto coin = [&] { return (rng() & 1u) == 0; };
+  const auto pick = [&](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  const auto real = [&](double hi) {
+    static const double kAwkward[] = {0.0, 0.1, 1.0 / 3.0, 1e-300, 0.5, 1.0};
+    if (coin()) return kAwkward[pick(0, 5)] * hi;
+    return std::uniform_real_distribution<double>(0.0, hi)(rng);
+  };
+  const auto text = [&] {
+    std::string out(static_cast<std::size_t>(pick(0, 40)), ' ');
+    for (char& c : out) c = static_cast<char>(pick(0, 255));
+    return out;
+  };
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
+  PlanRequest r;
+  r.op = static_cast<PlanOp>(pick(0, 5));
+  if (coin()) {
+    static const char* kBenches[] = {"p93791m", "d695m", "p93791", "d695"};
+    r.bench = kBenches[pick(0, 3)];
+  } else if (coin()) {
+    r.soc_text = text();
+  }
+  if (coin()) {
+    r.width = coin() ? kIntMax : pick(1, 128);
+  } else if (coin()) {
+    r.widths.emplace();
+    for (std::int64_t i = pick(1, 5); i > 0; --i) {
+      r.widths->push_back(coin() ? kIntMax : pick(1, 128));
+    }
+  }
+  if (coin()) {
+    r.max_powers.emplace();
+    const std::int64_t rungs = r.op == PlanOp::kPlan ? 1 : pick(1, 4);
+    for (std::int64_t i = 0; i < rungs; ++i) {
+      r.max_powers->push_back(real(1e6));
+    }
+  }
+  if (coin()) {
+    if (coin()) {
+      r.window_limit = 0.0;
+    } else {
+      r.window_limit = 1e-3 + real(1e4);
+      r.window_cycles = coin() ? std::int64_t{1} << 53 : pick(1, 1 << 20);
+    }
+  }
+  if (coin()) r.w_time = real(1.0);
+  if (coin()) r.exhaustive = coin();
+  if (coin()) r.epsilon = real(10.0);
+  if (coin()) r.jobs = coin() ? kIntMax : pick(0, 64);
+  if (r.op == PlanOp::kSweep || r.op == PlanOp::kFrontier) {
+    if (coin()) r.replan_from = text();
+  }
+  return r;
+}
+
+TEST(PlanRequest, JsonRoundTripIsTheIdentity) {
+  std::mt19937_64 rng(20050307);
+  for (int i = 0; i < 2000; ++i) {
+    const PlanRequest request = random_request(rng);
+    ASSERT_NO_THROW(request.validate()) << request.to_json();
+    const std::string json = request.to_json();
+    const PlanRequest decoded = PlanRequest::from_json(json);
+    ASSERT_EQ(decoded, request) << json;
+    EXPECT_EQ(decoded.to_json(), json);
+    EXPECT_EQ(decoded.canonical_key(), request.canonical_key()) << json;
+  }
+}
+
+TEST(PlanRequest, CanonicalKeySeparatesRequests) {
+  PlanRequest a;
+  a.op = PlanOp::kFrontier;
+  a.soc_text = "SocName one\n";
+  PlanRequest b = a;
+  b.soc_text = "SocName two\n";
+  EXPECT_NE(a.canonical_key(), b.canonical_key());
+  // The key names the .soc text by hash, never by content.
+  EXPECT_EQ(a.canonical_key().find("SocName"), std::string::npos);
+  b = a;
+  b.epsilon = 0.0;  // an explicit default is a different request
+  EXPECT_NE(a.canonical_key(), b.canonical_key());
+}
+
+TEST(PlanService, RejectsExactlyWhatValidateRejects) {
+  // The daemon decodes the envelope and runs the same validate(): its
+  // error text is validate()'s, word for word.
+  std::vector<PlanRequest> bad(4);
+  bad[0].width = 4294967328;  // would wrap to 32 as an int
+  bad[1].op = PlanOp::kSweep;
+  bad[1].widths = std::vector<std::int64_t>{16, 4294967328};
+  bad[2].jobs = 4294967297;
+  bad[3].window_limit = 400.0;
+  bad[3].window_cycles = (std::int64_t{1} << 53) + 2;
+  PlanService service;
+  for (const PlanRequest& request : bad) {
+    std::string expected;
+    try {
+      request.validate();
+    } catch (const msoc::Error& e) {
+      expected = e.what();
+    }
+    ASSERT_FALSE(expected.empty()) << request.to_json();
+    const JsonValue reply = reply_of(service, request.to_json());
+    EXPECT_FALSE(reply.at("ok").as_bool());
+    EXPECT_EQ(reply.at("error").as_string(), expected);
+  }
+  EXPECT_EQ(service.stats().evaluations, 0);
+}
+
+TEST(PlanService, WindowLengthsPastIntMaxPlan) {
+  // Cycles are 64-bit: a window longer than INT_MAX cycles is a valid
+  // request on the daemon exactly as on the command line.
+  PlanService service;
+  const JsonValue reply = reply_of(
+      service,
+      R"({"schema":"msoc-rpc-v1","op":"plan","bench":"d695m","width":16,)"
+      R"("window_limit":400,"window_cycles":3000000000})");
+  ASSERT_TRUE(reply.at("ok").as_bool()) << reply.at("error").as_string();
+  EXPECT_NE(reply.at("document").as_string().find(
+                "\"window_cycles\": 3000000000"),
+            std::string::npos);
 }
 
 }  // namespace

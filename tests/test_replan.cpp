@@ -232,22 +232,22 @@ TEST(Replan, MissingBaselineFallsBackToColdPlanning) {
   expect_same_plan(fallback, cold);
 }
 
-TEST(Replan, LegacyStoreWithoutInventoryFallsBackToCold) {
-  // Pre-v3 stores carry no digest inventory, so they cannot seed a
-  // diff; replan must fall back instead of guessing.
+TEST(Replan, StoreWithoutInventoryFallsBackToCold) {
+  // A store with no digest inventory cannot seed a diff; replan must
+  // fall back instead of guessing.
   const soc::Soc soc = soc::make_d695m();
-  const std::string dir = fresh_dir("legacy_store");
+  const std::string dir = fresh_dir("no_inventory_store");
   const std::string baseline_digest = "00000000deadbeef";
-  fs::create_directories(dir);
-  std::ofstream(fs::path(dir) / (baseline_digest + ".json"))
-      << "{\n  \"schema\": \"msoc-cache-v1\",\n"
-      << "  \"soc\": \"legacy\",\n  \"digest\": \"" << baseline_digest
+  fs::create_directories(fs::path(dir) / "00");
+  std::ofstream(fs::path(dir) / "00" / (baseline_digest + ".json"))
+      << "{\n  \"schema\": \"msoc-cache-v4\",\n"
+      << "  \"soc_name\": \"old\",\n  \"digest\": \"" << baseline_digest
       << "\",\n  \"entries\": []\n}\n";
 
   ResultCache cache(dir);
   FrontierEngine engine(soc, cached_options(&cache));
   const FrontierResult fallback = engine.replan(baseline_digest);
-  EXPECT_EQ(cache.corrupt_files(), 0);  // legacy != corrupt
+  EXPECT_EQ(cache.corrupt_files(), 0);  // a valid store, just no inventory
   EXPECT_TRUE(fallback.replanned_from.empty());
 
   FrontierOptions cold_options;
@@ -319,7 +319,9 @@ TEST(ReplanSweep, SplicesEveryCaseAndReportsCacheStats) {
   config.tam_widths = {16, 24};
   config.max_powers = {0.0};
   config.time_weights = {0.25, 0.75};
-  config.cache_dir = fresh_dir("sweep_replan");
+  const std::string dir = fresh_dir("sweep_replan");
+  ResultCache cold_cache(dir);
+  config.cache = &cold_cache;
   const SweepResult cold = run_sweep(config);
   ASSERT_TRUE(cold.cache_used);
   EXPECT_GT(cold.cache_records, 0);
@@ -327,6 +329,8 @@ TEST(ReplanSweep, SplicesEveryCaseAndReportsCacheStats) {
 
   config.socs = {soc::powered_d695m(2.0)};
   config.replan_from = soc::digest_hex(baseline);
+  ResultCache warm_cache(dir);
+  config.cache = &warm_cache;
   const SweepResult replanned = run_sweep(config);
 
   EXPECT_EQ(replanned.replanned_from, soc::digest_hex(baseline));
@@ -358,9 +362,10 @@ TEST(ReplanSweep, ConfigValidationRejectsUnusableReplans) {
   config.socs = {soc::make_d695m()};
   config.tam_widths = {16};
   config.replan_from = "00000000deadbeef";
-  EXPECT_THROW((void)run_sweep(config), Error);  // no cache_dir
+  EXPECT_THROW((void)run_sweep(config), Error);  // no cache
 
-  config.cache_dir = fresh_dir("sweep_validation");
+  ResultCache cache(fresh_dir("sweep_validation"));
+  config.cache = &cache;
   config.socs.push_back(soc::make_p93791m());
   EXPECT_THROW((void)run_sweep(config), Error);  // two SOCs
 }

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "msoc/common/error.hpp"
+#include "msoc/plan/result_cache.hpp"
 #include "msoc/soc/benchmarks.hpp"
 #include "powered_fixtures.hpp"
 
@@ -125,7 +126,7 @@ TEST(Sweep, JsonCarriesSchemaAndCases) {
   EXPECT_EQ(brackets, 0);
 }
 
-TEST(Sweep, CacheDirMakesSecondSweepEvaluationFree) {
+TEST(Sweep, CacheMakesSecondSweepEvaluationFree) {
   // Per-process dir: gtest's TempDir is plain /tmp on Linux, and
   // concurrent suite runs (e.g. two build trees) must not share it.
   const std::filesystem::path dir =
@@ -134,8 +135,11 @@ TEST(Sweep, CacheDirMakesSecondSweepEvaluationFree) {
   std::filesystem::remove_all(dir);
 
   SweepConfig config = small_config();
-  config.cache_dir = dir.string();
+  ResultCache cold_cache(dir.string());
+  config.cache = &cold_cache;
   const SweepResult cold = run_sweep(config);
+  ResultCache warm_cache(dir.string());
+  config.cache = &warm_cache;
   const SweepResult warm = run_sweep(config);
   ASSERT_EQ(cold.rows.size(), warm.rows.size());
   int cold_evaluations = 0;
@@ -149,7 +153,7 @@ TEST(Sweep, CacheDirMakesSecondSweepEvaluationFree) {
   }
   EXPECT_GT(cold_evaluations, 0);
   // The msoc-cache-v4 store shards by digest prefix: flush() appends
-  // to one journal.wal per shard directory, no legacy top-level files.
+  // to one journal.wal per shard directory, no top-level files.
   std::size_t shard_dirs = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     ASSERT_TRUE(entry.is_directory()) << entry.path();

@@ -32,16 +32,15 @@
 //     --cache-dir DIR  persistent msoc-cache-v4 result cache for
 //                      --sweep/--frontier
 //     --cache-compact  fold the cache's shard journals into snapshot
-//                      files and migrate legacy v1/v2/v3 stores to the
-//                      v4 layout; needs --cache-dir, runs standalone
+//                      files; needs --cache-dir, runs standalone
 //     --replan-from DIGEST
 //                      incremental re-plan: diff the SOC against the
 //                      cache store flushed for this digest (a previous
 //                      revision) and re-pack only partitions whose
 //                      per-core digests changed; needs --cache-dir and
 //                      --sweep/--frontier
-//     --json FILE      write results as JSON (msoc-sweep-v1, or
-//                      msoc-frontier-v1 with --frontier)
+//     --json FILE      write results as JSON (msoc-sweep-v1..v4, or
+//                      msoc-frontier-v1..v4 with --frontier)
 //     --gantt          print the schedule as an ASCII Gantt chart
 //     --csv FILE       export the schedule (or, with --sweep/--frontier,
 //                      the result table) as CSV
@@ -55,60 +54,45 @@
 //     --ping           with --daemon: probe the daemon and exit
 //     --shutdown       with --daemon: ask the daemon to drain and exit
 //     --help           this text
+//
+// The planning flags become one plan::PlanRequest, validated once and
+// run by plan::execute — in this process, or sent as its msoc-rpc-v1
+// envelope to the daemon, which runs the same executor.
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "msoc/common/error.hpp"
 #include "msoc/common/fileio.hpp"
-#include "msoc/common/format.hpp"
 #include "msoc/common/json.hpp"
 #include "msoc/common/net.hpp"
-#include "msoc/common/parallel.hpp"
 #include "msoc/common/strings.hpp"
-#include "msoc/plan/frontier.hpp"
-#include "msoc/plan/optimizer.hpp"
-#include "msoc/plan/sweep.hpp"
-#include "msoc/soc/benchmarks.hpp"
+#include "msoc/plan/request.hpp"
+#include "msoc/plan/result_cache.hpp"
 #include "msoc/soc/itc02.hpp"
 #include "msoc/testsim/replay.hpp"
 
 namespace {
 
+using msoc::plan::PlanOp;
+using msoc::plan::PlanRequest;
+
+/// The planning request plus the flags that concern only this process:
+/// where the SOC file is, where output goes, which daemon to ask.
 struct Options {
+  PlanRequest request;
   std::optional<std::string> soc_file;
-  std::optional<std::string> bench;  ///< Built-in benchmark name.
-  std::optional<int> width;      ///< Default 32 (single) / sweep ladder.
-  std::optional<std::vector<int>> widths;  ///< Explicit sweep ladder.
-  std::optional<std::vector<double>> max_powers;  ///< Power ladder.
-  /// Explicit sliding-window budget; an inactive value ({0, 0}, from
-  /// `--power-window 0`) forces unwindowed planning even on a SOC that
-  /// declares a window.  Absent = inherit the SOC's declaration.
-  std::optional<msoc::soc::PowerWindow> power_window;
-  std::optional<double> w_time;  ///< Default 0.5 (single) / sweep set.
-  bool exhaustive = false;
-  double epsilon = 0.0;
-  int jobs = 1;
-  bool sweep = false;
-  bool frontier = false;
   bool cache_compact = false;
   std::optional<std::string> cache_dir;
-  std::optional<std::string> replan_from;  ///< Baseline SOC digest.
   std::optional<std::string> json_file;
   bool gantt = false;
   std::optional<std::string> csv_file;
   bool validate = false;
   std::optional<std::string> daemon;  ///< msoc_pland socket path.
-  bool ping = false;
-  bool shutdown_daemon = false;
   bool help = false;
 };
 
@@ -138,13 +122,13 @@ void print_usage() {
       "  --cache-dir DIR  persistent result cache (msoc-cache-v4) for\n"
       "                   --sweep/--frontier\n"
       "  --cache-compact  fold the cache's shard journals into snapshots\n"
-      "                   and migrate legacy stores (needs --cache-dir)\n"
+      "                   (needs --cache-dir)\n"
       "  --replan-from DIGEST  incremental re-plan against the cache\n"
       "                   store of a previous SOC revision: only\n"
       "                   partitions with changed per-core digests are\n"
       "                   re-packed (needs --cache-dir)\n"
-      "  --json FILE      write results as JSON (msoc-sweep-v1;\n"
-      "                   msoc-frontier-v1 with --frontier)\n"
+      "  --json FILE      write results as JSON (msoc-sweep-v1..v4;\n"
+      "                   msoc-frontier-v1..v4 with --frontier)\n"
       "  --gantt          print an ASCII Gantt chart\n"
       "  --csv FILE       export schedule CSV (result table with\n"
       "                   --sweep/--frontier)\n"
@@ -157,154 +141,119 @@ void print_usage() {
       "  --help           this text");
 }
 
-std::vector<int> parse_width_list(const std::string& text) {
-  std::vector<int> widths;
-  for (const std::string_view field : msoc::split_fields(text, ",")) {
-    const auto v = msoc::parse_int(field);
-    msoc::require(v.has_value() && *v >= 1,
-                  "--widths needs comma-separated integers >= 1");
-    widths.push_back(static_cast<int>(*v));
-  }
-  msoc::require(!widths.empty(), "--widths needs at least one width");
-  return widths;
+// Tokenizing only: a value that does not parse is rejected here; every
+// range rule belongs to PlanRequest::validate().
+
+std::int64_t int_arg(std::string_view text, const char* flag) {
+  const auto v = msoc::parse_int(text);
+  msoc::require(v.has_value(), std::string(flag) + " needs an integer");
+  return *v;
 }
 
-std::vector<double> parse_power_list(const std::string& text) {
-  std::vector<double> powers;
-  for (const std::string_view field : msoc::split_fields(text, ",")) {
-    const auto v = msoc::parse_double(field);
-    // std::isfinite: parse_double accepts "nan"/"inf", and a NaN
-    // budget would break the cache's EntryKey ordering downstream.
-    msoc::require(v.has_value() && std::isfinite(*v) && *v >= 0.0,
-                  "--max-power needs comma-separated finite numbers >= 0");
-    powers.push_back(*v);
-  }
-  msoc::require(!powers.empty(), "--max-power needs at least one budget");
-  return powers;
+double number_arg(std::string_view text, const char* flag) {
+  const auto v = msoc::parse_double(text);
+  msoc::require(v.has_value(), std::string(flag) + " needs a number");
+  return *v;
 }
 
-msoc::soc::PowerWindow parse_power_window(const std::string& text) {
-  if (text == "0") return {};  // force-unwindowed
-  const std::size_t colon = text.find(':');
-  msoc::require(colon != std::string::npos,
-                "--power-window needs CYCLES:LIMIT (or 0 = unwindowed)");
-  const auto cycles =
-      msoc::parse_int(std::string_view(text).substr(0, colon));
-  const auto limit =
-      msoc::parse_double(std::string_view(text).substr(colon + 1));
-  msoc::require(cycles.has_value() && *cycles >= 1,
-                "--power-window needs an integer cycle count >= 1");
-  msoc::require(limit.has_value() && std::isfinite(*limit) && *limit > 0.0,
-                "--power-window needs a finite limit > 0");
-  return {static_cast<msoc::Cycles>(*cycles), *limit};
+template <typename Parse>
+auto list_arg(const std::string& text, const char* flag, Parse parse) {
+  std::vector<decltype(parse(std::string_view(), flag))> values;
+  for (const std::string_view field : msoc::split_fields(text, ",")) {
+    values.push_back(parse(field, flag));
+  }
+  return values;
 }
 
 Options parse_args(int argc, char** argv) {
   Options options;
+  PlanRequest& request = options.request;
   const auto value = [&](int& i, const char* flag) -> std::string {
     if (i + 1 >= argc) {
       throw msoc::InfeasibleError(std::string(flag) + " needs a value");
     }
     return argv[++i];
   };
+  const auto mode = [&](PlanOp op) {
+    msoc::require(request.op == PlanOp::kPlan || request.op == op,
+                  "--sweep, --frontier, --ping and --shutdown are mutually "
+                  "exclusive");
+    request.op = op;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") options.help = true;
     else if (arg == "--soc") options.soc_file = value(i, "--soc");
-    else if (arg == "--bench") options.bench = value(i, "--bench");
+    else if (arg == "--bench") request.bench = value(i, "--bench");
     else if (arg == "--width") {
-      const auto v = msoc::parse_int(value(i, "--width"));
-      msoc::require(v.has_value() && *v >= 1, "--width needs an integer >= 1");
-      options.width = static_cast<int>(*v);
+      request.width = int_arg(value(i, "--width"), "--width");
     } else if (arg == "--widths") {
-      options.widths = parse_width_list(value(i, "--widths"));
+      request.widths = list_arg(value(i, "--widths"), "--widths", int_arg);
     } else if (arg == "--max-power") {
-      options.max_powers = parse_power_list(value(i, "--max-power"));
+      request.max_powers =
+          list_arg(value(i, "--max-power"), "--max-power", number_arg);
     } else if (arg == "--power-window") {
-      options.power_window = parse_power_window(value(i, "--power-window"));
+      const std::string text = value(i, "--power-window");
+      if (text == "0") {
+        request.window_limit = 0.0;  // force-unwindowed
+      } else {
+        const std::size_t colon = text.find(':');
+        msoc::require(colon != std::string::npos,
+                      "--power-window needs CYCLES:LIMIT (or 0 = "
+                      "unwindowed)");
+        request.window_cycles =
+            int_arg(std::string_view(text).substr(0, colon), "--power-window");
+        request.window_limit = number_arg(
+            std::string_view(text).substr(colon + 1), "--power-window");
+      }
     } else if (arg == "--wt") {
-      const auto v = msoc::parse_double(value(i, "--wt"));
-      msoc::require(v.has_value() && *v >= 0.0 && *v <= 1.0,
-                    "--wt needs a number in [0,1]");
-      options.w_time = *v;
-    } else if (arg == "--exhaustive") options.exhaustive = true;
+      request.w_time = number_arg(value(i, "--wt"), "--wt");
+    } else if (arg == "--exhaustive") request.exhaustive = true;
     else if (arg == "--epsilon") {
-      const auto v = msoc::parse_double(value(i, "--epsilon"));
-      msoc::require(v.has_value() && *v >= 0.0, "--epsilon needs a number >= 0");
-      options.epsilon = *v;
+      request.epsilon = number_arg(value(i, "--epsilon"), "--epsilon");
     } else if (arg == "--jobs") {
-      const auto v = msoc::parse_int(value(i, "--jobs"));
-      msoc::require(v.has_value() && *v >= 0, "--jobs needs an integer >= 0");
-      options.jobs = static_cast<int>(*v);
-    } else if (arg == "--sweep") options.sweep = true;
-    else if (arg == "--frontier") options.frontier = true;
+      request.jobs = int_arg(value(i, "--jobs"), "--jobs");
+    } else if (arg == "--sweep") mode(PlanOp::kSweep);
+    else if (arg == "--frontier") mode(PlanOp::kFrontier);
+    else if (arg == "--ping") mode(PlanOp::kPing);
+    else if (arg == "--shutdown") mode(PlanOp::kShutdown);
     else if (arg == "--cache-compact") options.cache_compact = true;
     else if (arg == "--cache-dir") options.cache_dir = value(i, "--cache-dir");
     else if (arg == "--replan-from") {
-      options.replan_from = value(i, "--replan-from");
+      request.replan_from = value(i, "--replan-from");
     }
     else if (arg == "--json") options.json_file = value(i, "--json");
     else if (arg == "--gantt") options.gantt = true;
     else if (arg == "--csv") options.csv_file = value(i, "--csv");
     else if (arg == "--validate") options.validate = true;
     else if (arg == "--daemon") options.daemon = value(i, "--daemon");
-    else if (arg == "--ping") options.ping = true;
-    else if (arg == "--shutdown") options.shutdown_daemon = true;
     else {
       throw msoc::InfeasibleError("unknown argument: " + arg);
     }
   }
-  msoc::require(!(options.sweep && options.frontier),
-                "--sweep and --frontier are mutually exclusive");
-  msoc::require(!(options.soc_file && options.bench),
+  const bool multi = request.op == PlanOp::kSweep ||
+                     request.op == PlanOp::kFrontier;
+  msoc::require(!(options.soc_file && request.bench),
                 "--soc and --bench are mutually exclusive");
-  msoc::require(!(options.width && options.widths),
-                "--width and --widths are mutually exclusive");
   msoc::require(!options.cache_compact ||
-                    (!options.sweep && !options.frontier),
-                "--cache-compact is a standalone maintenance mode; drop "
-                "--sweep/--frontier");
-  msoc::require(!options.cache_compact || options.cache_dir.has_value(),
-                "--cache-compact needs --cache-dir");
-  msoc::require(!options.cache_dir || options.sweep || options.frontier ||
-                    options.cache_compact,
+                    (request.op == PlanOp::kPlan && options.cache_dir),
+                "--cache-compact is a standalone maintenance mode: it "
+                "needs --cache-dir and no --sweep/--frontier");
+  msoc::require(!options.cache_dir || multi || options.cache_compact,
                 "--cache-dir needs --sweep, --frontier or --cache-compact");
-  msoc::require(!options.replan_from || options.cache_dir.has_value() ||
-                    options.daemon.has_value(),
-                "--replan-from needs --cache-dir (the baseline store) or "
-                "--daemon (the daemon's cache)");
-  msoc::require(!options.max_powers || options.sweep || options.frontier ||
-                    options.max_powers->size() == 1,
-                "a single plan takes exactly one --max-power value");
-  msoc::require(options.daemon.has_value() ||
-                    (!options.ping && !options.shutdown_daemon),
+  msoc::require(!(options.gantt || options.validate) ||
+                    request.op == PlanOp::kPlan,
+                "--gantt/--validate need a single plan");
+  msoc::require(options.daemon.has_value() || request.planning(),
                 "--ping/--shutdown need --daemon");
-  msoc::require(!(options.ping && options.shutdown_daemon),
-                "--ping and --shutdown are mutually exclusive");
   msoc::require(!options.daemon ||
                     (!options.cache_dir && !options.cache_compact &&
                      !options.gantt && !options.validate),
                 "--daemon handles --sweep/--frontier/plan requests only; "
                 "drop --cache-dir/--cache-compact/--gantt/--validate "
                 "(the daemon's cache is configured server-side)");
+  request.validate();
   return options;
-}
-
-msoc::soc::Soc make_bench(const std::string& name) {
-  using namespace msoc::soc;
-  if (name == "p93791m") return make_p93791m();
-  if (name == "d695m") return make_d695m();
-  if (name == "p93791") return make_p93791();
-  if (name == "d695") return make_d695();
-  throw msoc::InfeasibleError(
-      "unknown --bench name: " + name +
-      " (expected p93791m, d695m, p93791 or d695)");
-}
-
-msoc::soc::Soc load_soc(const Options& options) {
-  if (options.soc_file) return msoc::soc::load_soc_file(*options.soc_file);
-  if (options.bench) return make_bench(*options.bench);
-  return msoc::soc::make_p93791m();
 }
 
 void write_file(const std::string& path, const std::string& content,
@@ -315,194 +264,19 @@ void write_file(const std::string& path, const std::string& content,
   out << content;
 }
 
-std::vector<int> width_ladder(const Options& options) {
-  if (options.widths) return *options.widths;
-  if (options.width) return {*options.width};
-  return {16, 24, 32, 48, 64};
-}
-
-std::vector<double> power_ladder(const Options& options) {
-  if (options.max_powers) return *options.max_powers;
-  return {-1.0};  // inherit the SOC's MaxPower declaration
-}
-
-int run_frontier_mode(const Options& options) {
-  using namespace msoc;
-  require(!options.gantt && !options.validate,
-          "--gantt/--validate need a single plan; drop them or --frontier");
-  const soc::Soc soc = load_soc(options);
-
-  std::optional<plan::ResultCache> cache;
-  if (options.cache_dir) cache.emplace(*options.cache_dir);
-
-  plan::FrontierOptions frontier;
-  frontier.widths = width_ladder(options);
-  frontier.max_powers = power_ladder(options);
-  if (options.power_window) {
-    frontier.packing.window_cycles = options.power_window->cycles;
-    frontier.packing.window_limit = options.power_window->limit;
-  }
-  const double w_time = options.w_time.value_or(0.5);
-  frontier.weights = {w_time, 1.0 - w_time};
-  frontier.exhaustive = options.exhaustive;
-  frontier.epsilon = options.epsilon;
-  frontier.jobs = options.jobs;
-  frontier.cache = cache.has_value() ? &*cache : nullptr;
-
-  plan::FrontierEngine engine(soc, frontier);
-  std::printf("frontier: SOC %s (digest %s), %zu widths, %s, w_T=%.2f, "
-              "jobs=%d\n",
-              soc.name().c_str(), engine.digest().c_str(),
-              frontier.widths.size(),
-              options.exhaustive ? "exhaustive" : "Cost_Optimizer", w_time,
-              options.jobs);
-  const plan::FrontierResult result =
-      options.replan_from ? engine.replan(*options.replan_from)
-                          : engine.run();
-  if (cache.has_value()) cache->flush();
-
-  int failures = 0;
-  for (const plan::FrontierPoint& p : result.points) {
-    char power_tag[32] = "";
-    if (p.max_power > 0.0) {
-      std::snprintf(power_tag, sizeof power_tag, "  P=%-8.6g", p.max_power);
-    }
-    if (p.ok()) {
-      std::printf("  W=%-3d%s  T=%8llu cycles  C=%8.2f  %-24s N=%-3d "
-                  "hits=%-3d pruned=%-3d%s\n",
-                  p.tam_width, power_tag,
-                  static_cast<unsigned long long>(p.best.test_time),
-                  p.best.total, p.best.label.c_str(), p.evaluations,
-                  p.cache_hits, p.pruned, p.pareto ? "  *" : "");
-    } else {
-      ++failures;
-      std::printf("  W=%-3d%s  infeasible: %s\n", p.tam_width, power_tag,
-                  p.error.c_str());
-    }
-  }
-  std::printf("TAM-optimizer evaluations: %d (cache hits %d, pruned %d, "
-              "%zu combinations/width)\n",
-              result.evaluations, result.cache_hits, result.pruned,
-              result.points.empty()
-                  ? static_cast<std::size_t>(0)
-                  : static_cast<std::size_t>(
-                        result.points.front().total_combinations));
-  if (!result.replanned_from.empty()) {
-    std::printf("replan: baseline %s, %d results spliced, %d dirty "
-                "partitions\n",
-                result.replanned_from.c_str(), result.reused,
-                result.dirty_partitions);
-  } else if (options.replan_from) {
-    std::printf("replan: baseline %s unusable, planned cold\n",
-                options.replan_from->c_str());
-  }
-  std::printf("test-time frontier is %s across widths\n",
-              result.time_monotone ? "monotone non-increasing"
-                                   : "NOT monotone (packer anomaly)");
-  if (cache.has_value()) {
-    char corrupt_tag[48] = "";
-    if (cache->corrupt_files() > 0) {
-      std::snprintf(corrupt_tag, sizeof corrupt_tag,
-                    ", %d corrupt files ignored", cache->corrupt_files());
-    }
-    std::printf("cache: %s (%lld hits, %lld new results%s)\n",
-                cache->directory().c_str(), cache->hits(),
-                cache->records(), corrupt_tag);
-  }
-  if (options.json_file) {
-    write_file(*options.json_file, result.to_json(), "JSON");
-    std::printf("results written to %s\n", options.json_file->c_str());
-  }
-  if (options.csv_file) {
-    write_file(*options.csv_file, result.to_csv(), "CSV");
-    std::printf("result table written to %s\n", options.csv_file->c_str());
-  }
-  if (failures == static_cast<int>(result.points.size())) {
-    std::fprintf(stderr, "error: every frontier width was infeasible\n");
-    return 1;
-  }
-  return 0;
-}
-
-/// The msoc-rpc-v1 request envelope for this invocation.  Only
-/// explicitly-passed flags are serialized — absent fields resolve to
-/// the same defaults server-side, so a daemon reply stays
-/// byte-identical to the in-process --json output.
-std::string build_daemon_request(const Options& options) {
-  using msoc::json_escape;
-  std::ostringstream out;
-  out << "{\"schema\":\"msoc-rpc-v1\",\"op\":\"";
-  if (options.ping) out << "ping";
-  else if (options.shutdown_daemon) out << "shutdown";
-  else if (options.sweep) out << "sweep";
-  else if (options.frontier) out << "frontier";
-  else out << "plan";
-  out << '"';
-  if (options.ping || options.shutdown_daemon) {
-    out << '}';
-    return out.str();
-  }
-  if (options.bench) {
-    out << ",\"bench\":\"" << json_escape(*options.bench) << '"';
-  }
-  if (options.soc_file) {
-    // The daemon may run in another directory (or namespace): ship the
-    // .soc content itself, not the path.
-    out << ",\"soc_text\":\""
-        << json_escape(msoc::read_file(*options.soc_file)) << '"';
-  }
-  if (options.width) out << ",\"width\":" << *options.width;
-  if (options.widths) {
-    out << ",\"widths\":[";
-    for (std::size_t i = 0; i < options.widths->size(); ++i) {
-      out << (i == 0 ? "" : ",") << (*options.widths)[i];
-    }
-    out << ']';
-  }
-  if (options.max_powers) {
-    out << ",\"max_powers\":[";
-    for (std::size_t i = 0; i < options.max_powers->size(); ++i) {
-      out << (i == 0 ? "" : ",")
-          << msoc::round_trip_double((*options.max_powers)[i]);
-    }
-    out << ']';
-  }
-  if (options.w_time) {
-    out << ",\"wt\":" << msoc::round_trip_double(*options.w_time);
-  }
-  if (options.power_window) {
-    out << ",\"window_limit\":"
-        << msoc::round_trip_double(options.power_window->limit);
-    if (options.power_window->cycles > 0) {
-      out << ",\"window_cycles\":" << options.power_window->cycles;
-    }
-  }
-  if (options.exhaustive) out << ",\"exhaustive\":true";
-  if (options.epsilon != 0.0) {
-    out << ",\"epsilon\":" << msoc::round_trip_double(options.epsilon);
-  }
-  if (options.jobs != 1) out << ",\"jobs\":" << options.jobs;
-  if (options.replan_from) {
-    out << ",\"replan_from\":\"" << json_escape(*options.replan_from)
-        << '"';
-  }
-  out << '}';
-  return out.str();
-}
-
 /// Runs this invocation against the daemon.  Returns the process exit
 /// code, or -1 when the caller should fall back to in-process
 /// planning: nothing is listening, or the daemon rejected the
-/// connection as saturated ("daemon busy").  Either way the fallback
-/// produces documents byte-identical to what the daemon would have
-/// returned (the rpc contract), so callers lose availability never
-/// correctness.
+/// connection as saturated ("daemon busy").  The fallback runs the
+/// same executor on the same request, so callers lose availability
+/// never correctness.
 int run_daemon_mode(const Options& options) {
   using namespace msoc;
+  const bool planning = options.request.planning();
   std::optional<net::UnixSocket> socket =
       net::UnixSocket::connect_if_listening(*options.daemon);
   if (!socket.has_value()) {
-    if (options.ping || options.shutdown_daemon) {
+    if (!planning) {
       std::fprintf(stderr, "error: no daemon listening on %s\n",
                    options.daemon->c_str());
       return 1;
@@ -513,7 +287,11 @@ int run_daemon_mode(const Options& options) {
                  options.daemon->c_str());
     return -1;
   }
-  socket->send_frame(build_daemon_request(options));
+  PlanRequest request = options.request;
+  // The daemon may run in another directory (or namespace): ship the
+  // .soc content itself, not the path.
+  if (options.soc_file) request.soc_text = read_file(*options.soc_file);
+  socket->send_frame(request.to_json());
   const net::FrameResult frame = socket->recv_frame();
   require(frame.status == net::FrameStatus::kOk,
           std::string("daemon reply unusable (") +
@@ -527,8 +305,7 @@ int run_daemon_mode(const Options& options) {
     // failure: plan in-process instead of surfacing a hard error
     // (except for --ping/--shutdown, which are about the daemon
     // itself).
-    if (!options.ping && !options.shutdown_daemon &&
-        error.rfind("daemon busy", 0) == 0) {
+    if (planning && error.rfind("daemon busy", 0) == 0) {
       std::fprintf(stderr, "msoc_plan: %s; planning in-process\n",
                    error.c_str());
       return -1;
@@ -536,12 +313,9 @@ int run_daemon_mode(const Options& options) {
     std::fprintf(stderr, "error: daemon: %s\n", error.c_str());
     return 1;
   }
-  if (options.ping) {
-    std::printf("daemon on %s is alive\n", options.daemon->c_str());
-    return 0;
-  }
-  if (options.shutdown_daemon) {
-    std::printf("daemon on %s is draining\n", options.daemon->c_str());
+  if (!planning) {
+    std::printf("daemon on %s is %s\n", options.daemon->c_str(),
+                request.op == PlanOp::kPing ? "alive" : "draining");
     return 0;
   }
   const std::string& document = reply.at("document").as_string();
@@ -564,9 +338,9 @@ int run_compact_mode(const Options& options) {
   const plan::CompactionStats stats = cache.compact();
   std::printf("cache-compact: %s\n", cache.directory().c_str());
   std::printf("  %d shard journals folded (%lld records), %d snapshots "
-              "written, %d legacy stores migrated\n",
+              "written\n",
               stats.shards_compacted, stats.records_folded,
-              stats.snapshots_written, stats.legacy_files_migrated);
+              stats.snapshots_written);
   if (cache.corrupt_files() > 0) {
     std::printf("  %d corrupt artifacts ignored\n", cache.corrupt_files());
   }
@@ -576,59 +350,90 @@ int run_compact_mode(const Options& options) {
   return 0;
 }
 
-int run_sweep_mode(const Options& options) {
-  using namespace msoc;
-  require(!options.gantt && !options.validate,
-          "--gantt/--validate need a single plan; drop them or --sweep");
-  plan::SweepConfig config;
-  if (options.soc_file || options.bench) {
-    config.socs.push_back(load_soc(options));
-  } else {
-    config = plan::default_benchmark_sweep();
-  }
-  // An explicit --width / --widths / --max-power / --wt narrows (or
-  // fans out) the sweep.
-  if (options.width || options.widths) {
-    config.tam_widths = width_ladder(options);
-  }
-  if (options.max_powers) config.max_powers = *options.max_powers;
-  if (options.power_window) {
-    config.window_cycles = options.power_window->cycles;
-    config.window_limit = options.power_window->limit;
-  }
-  if (options.w_time) config.time_weights = {*options.w_time};
-  config.exhaustive = options.exhaustive;
-  config.epsilon = options.epsilon;
-  config.jobs = options.jobs;
-  if (options.cache_dir) config.cache_dir = *options.cache_dir;
-  if (options.replan_from) config.replan_from = *options.replan_from;
+const char* algorithm_name(const PlanRequest& request) {
+  return request.exhaustive.value_or(false) ? "exhaustive" : "Cost_Optimizer";
+}
 
-  std::printf("sweep: %zu SOCs x %zu widths x %zu powers x %zu weights = "
-              "%zu cases (%s, jobs=%d%s%s)\n",
-              config.socs.size(), config.tam_widths.size(),
-              config.max_powers.size(),
-              config.time_weights.size(), config.case_count(),
-              config.exhaustive ? "exhaustive" : "Cost_Optimizer",
-              config.jobs, config.cache_dir.empty() ? "" : ", cache ",
-              config.cache_dir.c_str());
-  const plan::SweepResult result = plan::run_sweep(config);
+/// " P=<budget>" for a power-constrained cell, else empty.
+std::string power_tag(double max_power, const char* format) {
+  if (max_power <= 0.0) return "";
+  char tag[32];
+  std::snprintf(tag, sizeof tag, format, max_power);
+  return tag;
+}
 
+std::string corrupt_tag(int corrupt_files) {
+  if (corrupt_files <= 0) return "";
+  return ", " + std::to_string(corrupt_files) + " corrupt files ignored";
+}
+
+int report_frontier(const Options& options,
+                    const msoc::plan::FrontierResult& result,
+                    const msoc::plan::ResultCache* cache) {
+  const PlanRequest& request = options.request;
+  std::printf("frontier: SOC %s (digest %s), %zu widths, %s, w_T=%.2f, "
+              "jobs=%lld\n",
+              result.soc_name.c_str(), result.digest.c_str(),
+              request.width_ladder().size(), algorithm_name(request),
+              result.w_time, static_cast<long long>(request.jobs.value_or(1)));
   int failures = 0;
-  for (const plan::SweepRow& row : result.rows) {
-    char power_tag[32] = "";
-    if (row.max_power > 0.0) {
-      std::snprintf(power_tag, sizeof power_tag, " P=%-8.6g",
-                    row.max_power);
+  for (const msoc::plan::FrontierPoint& p : result.points) {
+    const std::string power = power_tag(p.max_power, "  P=%-8.6g");
+    if (p.ok()) {
+      std::printf("  W=%-3d%s  T=%8llu cycles  C=%8.2f  %-24s N=%-3d "
+                  "hits=%-3d pruned=%-3d%s\n",
+                  p.tam_width, power.c_str(),
+                  static_cast<unsigned long long>(p.best.test_time),
+                  p.best.total, p.best.label.c_str(), p.evaluations,
+                  p.cache_hits, p.pruned, p.pareto ? "  *" : "");
+    } else {
+      ++failures;
+      std::printf("  W=%-3d%s  infeasible: %s\n", p.tam_width, power.c_str(),
+                  p.error.c_str());
     }
+  }
+  std::printf("TAM-optimizer evaluations: %d (cache hits %d, pruned %d, "
+              "%d combinations/width)\n",
+              result.evaluations, result.cache_hits, result.pruned,
+              result.points.empty() ? 0
+                                    : result.points.front().total_combinations);
+  if (!result.replanned_from.empty()) {
+    std::printf("replan: baseline %s, %d results spliced, %d dirty "
+                "partitions\n",
+                result.replanned_from.c_str(), result.reused,
+                result.dirty_partitions);
+  } else if (request.replan_from) {
+    std::printf("replan: baseline %s unusable, planned cold\n",
+                request.replan_from->c_str());
+  }
+  std::printf("test-time frontier is %s across widths\n",
+              result.time_monotone ? "monotone non-increasing"
+                                   : "NOT monotone (packer anomaly)");
+  if (cache != nullptr) {
+    std::printf("cache: %s (%lld hits, %lld new results%s)\n",
+                cache->directory().c_str(), cache->hits(), cache->records(),
+                corrupt_tag(cache->corrupt_files()).c_str());
+  }
+  if (failures == static_cast<int>(result.points.size())) {
+    std::fprintf(stderr, "error: every frontier width was infeasible\n");
+    return 1;
+  }
+  return 0;
+}
+
+int report_sweep(const msoc::plan::SweepResult& result) {
+  int failures = 0;
+  for (const msoc::plan::SweepRow& row : result.rows) {
+    const std::string power = power_tag(row.max_power, " P=%-8.6g");
     if (row.ok()) {
       std::printf("  %-10s W=%-3d%s w_T=%.2f  C=%8.2f  %-24s %6.1f ms\n",
-                  row.soc_name.c_str(), row.tam_width, power_tag,
+                  row.soc_name.c_str(), row.tam_width, power.c_str(),
                   row.w_time, row.best_total, row.best_label.c_str(),
                   row.wall_ms);
     } else {
       ++failures;
       std::printf("  %-10s W=%-3d%s w_T=%.2f  infeasible: %s\n",
-                  row.soc_name.c_str(), row.tam_width, power_tag,
+                  row.soc_name.c_str(), row.tam_width, power.c_str(),
                   row.w_time, row.error.c_str());
     }
   }
@@ -641,28 +446,93 @@ int run_sweep_mode(const Options& options) {
                 result.dirty_partitions);
   }
   if (result.cache_used) {
-    char corrupt_tag[48] = "";
-    if (result.cache_corrupt_files > 0) {
-      std::snprintf(corrupt_tag, sizeof corrupt_tag,
-                    ", %d corrupt files ignored",
-                    result.cache_corrupt_files);
-    }
-    std::printf("cache: %lld hits, %lld new results%s\n",
-                result.cache_hits, result.cache_records, corrupt_tag);
-  }
-  if (options.json_file) {
-    write_file(*options.json_file, result.to_json(), "JSON");
-    std::printf("results written to %s\n", options.json_file->c_str());
-  }
-  if (options.csv_file) {
-    write_file(*options.csv_file, result.to_csv(), "CSV");
-    std::printf("result table written to %s\n", options.csv_file->c_str());
+    std::printf("cache: %lld hits, %lld new results%s\n", result.cache_hits,
+                result.cache_records,
+                corrupt_tag(result.cache_corrupt_files).c_str());
   }
   if (failures == static_cast<int>(result.rows.size())) {
     std::fprintf(stderr, "error: every sweep case was infeasible\n");
     return 1;
   }
   return 0;
+}
+
+void report_plan(const Options& options, const msoc::soc::Soc& soc,
+                 const msoc::plan::SweepRow& row) {
+  const std::string power = power_tag(row.max_power, "; max power %g");
+  char window_note[64] = "";
+  if (row.window_cycles > 0) {
+    std::snprintf(window_note, sizeof window_note, "; window %g/%llu cycles",
+                  row.window_limit,
+                  static_cast<unsigned long long>(row.window_cycles));
+  }
+  std::printf("SOC %s: %zu digital, %zu analog cores; TAM width %d%s%s; "
+              "w_T=%.2f w_A=%.2f; %s; jobs %lld\n",
+              soc.name().c_str(), soc.digital_count(), soc.analog_count(),
+              row.tam_width, power.c_str(), window_note, row.w_time,
+              1.0 - row.w_time, algorithm_name(options.request),
+              static_cast<long long>(options.request.jobs.value_or(1)));
+  std::printf("\nplan: %s\n", row.best_label.c_str());
+  std::printf("  C = %.2f  (C_time = %.2f, C_A = %.2f)\n", row.best_total,
+              row.c_time, row.c_area);
+  std::printf("  test time %llu cycles; %d of %d combinations evaluated\n",
+              static_cast<unsigned long long>(row.test_time),
+              row.evaluations, row.total_combinations);
+}
+
+int run_in_process(const Options& options) {
+  using namespace msoc;
+  const PlanRequest& request = options.request;
+  std::vector<soc::Soc> socs;
+  if (options.soc_file) {
+    socs.push_back(soc::load_soc_file(*options.soc_file));
+  } else {
+    for (const std::string& name : request.bench_names()) {
+      socs.push_back(plan::make_builtin_soc(name));
+    }
+  }
+  std::optional<plan::ResultCache> cache;
+  if (options.cache_dir) cache.emplace(*options.cache_dir);
+  if (request.op == PlanOp::kSweep) {
+    std::printf("sweep: %zu SOCs (%s, jobs=%lld%s%s)\n", socs.size(),
+                algorithm_name(request),
+                static_cast<long long>(request.jobs.value_or(1)),
+                cache ? ", cache " : "",
+                cache ? cache->directory().c_str() : "");
+  }
+  const plan::PlanOutcome outcome =
+      plan::execute(request, socs, cache ? &*cache : nullptr);
+
+  int status = 0;
+  if (request.op == PlanOp::kFrontier) {
+    status = report_frontier(options, *outcome.frontier,
+                             cache ? &*cache : nullptr);
+  } else if (request.op == PlanOp::kSweep) {
+    status = report_sweep(*outcome.sweep);
+  } else {
+    report_plan(options, socs.front(), outcome.sweep->rows.front());
+  }
+  if (options.json_file) {
+    write_file(*options.json_file, outcome.document, "JSON");
+    std::printf("results written to %s\n", options.json_file->c_str());
+  }
+  if (options.csv_file) {
+    write_file(*options.csv_file, outcome.csv, "CSV");
+    std::printf("%s written to %s\n",
+                outcome.schedule ? "schedule" : "result table",
+                options.csv_file->c_str());
+  }
+  if (options.gantt) {
+    std::putchar('\n');
+    std::fputs(tam::render_gantt(*outcome.schedule).c_str(), stdout);
+  }
+  if (options.validate) {
+    const testsim::ReplayReport report =
+        testsim::replay(socs.front(), *outcome.schedule);
+    std::printf("%s\n", report.summary().c_str());
+    if (!report.clean()) return 2;
+  }
+  return status;
 }
 
 }  // namespace
@@ -675,127 +545,13 @@ int main(int argc, char** argv) {
       print_usage();
       return 0;
     }
+    if (options.cache_compact) return run_compact_mode(options);
     if (options.daemon) {
       const int exit_code = run_daemon_mode(options);
       if (exit_code >= 0) return exit_code;
-      // No daemon listening: fall through to the in-process paths.
+      // Nothing listening, or busy: the same request, in-process.
     }
-    if (options.cache_compact) return run_compact_mode(options);
-    if (options.sweep) return run_sweep_mode(options);
-    if (options.frontier) return run_frontier_mode(options);
-
-    const int width = options.width.value_or(32);
-    const double w_time = options.w_time.value_or(0.5);
-    const soc::Soc soc = load_soc(options);
-
-    plan::PlanningProblem problem;
-    problem.soc = &soc;
-    problem.tam_width = width;
-    problem.weights = {w_time, 1.0 - w_time};
-    if (options.max_powers) {
-      problem.packing.max_power = options.max_powers->front();
-    }
-    if (options.power_window) {
-      problem.packing.window_cycles = options.power_window->cycles;
-      problem.packing.window_limit = options.power_window->limit;
-    }
-    const double max_power = tam::effective_max_power(soc, problem.packing);
-    const soc::PowerWindow window =
-        tam::effective_power_window(soc, problem.packing);
-
-    char power_note[48] = "";
-    if (max_power > 0.0) {
-      std::snprintf(power_note, sizeof power_note, "; max power %g",
-                    max_power);
-    }
-    char window_note[64] = "";
-    if (window.active()) {
-      std::snprintf(window_note, sizeof window_note,
-                    "; window %g/%llu cycles", window.limit,
-                    static_cast<unsigned long long>(window.cycles));
-    }
-    std::printf("SOC %s: %zu digital, %zu analog cores; TAM width %d%s%s; "
-                "w_T=%.2f w_A=%.2f; %s; jobs %d\n",
-                soc.name().c_str(), soc.digital_count(), soc.analog_count(),
-                width, power_note, window_note, w_time, 1.0 - w_time,
-                options.exhaustive ? "exhaustive" : "Cost_Optimizer",
-                options.jobs);
-
-    plan::CostModel model(problem);
-
-    plan::OptimizationResult result;
-    const auto started = std::chrono::steady_clock::now();
-    if (options.exhaustive) {
-      result = plan::optimize_exhaustive(model, options.jobs);
-    } else {
-      plan::HeuristicOptions heuristic;
-      heuristic.epsilon = options.epsilon;
-      heuristic.jobs = options.jobs;
-      result = plan::optimize_cost_heuristic(model, heuristic);
-    }
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - started)
-                               .count();
-    const plan::CombinationCost& best = result.best;
-
-    std::printf("\nplan: %s\n", best.label.c_str());
-    std::printf("  C = %.2f  (C_time = %.2f, C_A = %.2f)\n", best.total,
-                best.c_time, best.c_area);
-    std::printf("  test time %llu cycles; %d of %d combinations evaluated\n",
-                static_cast<unsigned long long>(best.test_time),
-                result.evaluations, result.total_combinations);
-
-    if (options.json_file) {
-      // Single-plan runs reuse the sweep schema with one case.
-      plan::SweepResult single;
-      single.exhaustive = options.exhaustive;
-      single.epsilon = options.epsilon;
-      // Match the sweep semantics: "threads actually used", never 0.
-      single.jobs = std::min(
-          options.jobs <= 0 ? hardware_jobs() : options.jobs,
-          std::max(result.total_combinations, 1));
-      single.total_wall_ms = wall_ms;
-      plan::SweepRow row;
-      row.soc_name = soc.name();
-      row.tam_width = width;
-      row.max_power = max_power;
-      if (window.active()) {
-        row.window_cycles = window.cycles;
-        row.window_limit = window.limit;
-      }
-      row.w_time = w_time;
-      row.algorithm = options.exhaustive ? "exhaustive" : "cost_optimizer";
-      row.best_label = best.label;
-      row.best_total = best.total;
-      row.c_time = best.c_time;
-      row.c_area = best.c_area;
-      row.test_time = best.test_time;
-      row.t_max = model.t_max();
-      row.evaluations = result.evaluations;
-      row.total_combinations = result.total_combinations;
-      row.evaluation_reduction_percent =
-          result.evaluation_reduction_percent();
-      row.wall_ms = wall_ms;
-      single.rows.push_back(std::move(row));
-      write_file(*options.json_file, single.to_json(), "JSON");
-      std::printf("results written to %s\n", options.json_file->c_str());
-    }
-
-    const tam::Schedule schedule = model.schedule_for(best.partition);
-    if (options.gantt) {
-      std::putchar('\n');
-      std::fputs(tam::render_gantt(schedule).c_str(), stdout);
-    }
-    if (options.csv_file) {
-      write_file(*options.csv_file, tam::schedule_to_csv(schedule), "CSV");
-      std::printf("schedule written to %s\n", options.csv_file->c_str());
-    }
-    if (options.validate) {
-      const testsim::ReplayReport report = testsim::replay(soc, schedule);
-      std::printf("%s\n", report.summary().c_str());
-      if (!report.clean()) return 2;
-    }
-    return 0;
+    return run_in_process(options);
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
