@@ -9,6 +9,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace msoc {
 
@@ -53,5 +54,24 @@ void require(bool condition, const std::string& message);
 void check_invariant(
     bool condition, const std::string& message,
     std::source_location where = std::source_location::current());
+
+/// Out-of-line throw paths of the `const char*` overloads below.
+[[noreturn]] void throw_infeasible(std::string_view message);
+[[noreturn]] void throw_invariant(std::string_view message,
+                                  std::source_location where);
+
+/// Literal-message overloads: a passing check costs one branch and never
+/// builds a std::string (a literal longer than the small-string buffer
+/// would otherwise heap-allocate on every call, even when the condition
+/// holds).  They throw exactly what the std::string overloads throw.
+inline void require(bool condition, const char* message) {
+  if (!condition) throw_infeasible(message);
+}
+
+inline void check_invariant(
+    bool condition, const char* message,
+    std::source_location where = std::source_location::current()) {
+  if (!condition) throw_invariant(message, where);
+}
 
 }  // namespace msoc

@@ -29,7 +29,14 @@ void require(bool condition, const std::string& message) {
 
 void check_invariant(bool condition, const std::string& message,
                      std::source_location where) {
-  if (condition) return;
+  if (!condition) throw_invariant(message, where);
+}
+
+void throw_infeasible(std::string_view message) {
+  throw InfeasibleError(std::string(message));
+}
+
+void throw_invariant(std::string_view message, std::source_location where) {
   std::ostringstream os;
   os << "invariant violated at " << where.file_name() << ':' << where.line()
      << " (" << where.function_name() << "): " << message;

@@ -14,15 +14,22 @@ long long DigitalCore::total_scan_cells() const {
 }
 
 void DigitalCore::validate() const {
-  require(inputs >= 0 && outputs >= 0 && bidirs >= 0,
-          "I/O counts must be non-negative: core " + name);
-  require(patterns >= 0, "pattern count must be non-negative: core " + name);
-  require(power >= 0.0, "test power must be non-negative: core " + name);
+  // design_wrapper validates on every call, so a message is built only
+  // when its check fails.
+  const auto check = [this](bool ok, const char* what) {
+    if (!ok) throw InfeasibleError(std::string(what) + ": core " + name);
+  };
+  check(inputs >= 0 && outputs >= 0 && bidirs >= 0,
+        "I/O counts must be non-negative");
+  // A core with no patterns has a zero-length test, which no schedule
+  // can place.
+  check(patterns > 0, "pattern count must be positive");
+  check(power >= 0.0, "test power must be non-negative");
   for (int len : scan_chain_lengths) {
-    require(len > 0, "scan chain lengths must be positive: core " + name);
+    check(len > 0, "scan chain lengths must be positive");
   }
-  require(inputs + outputs + bidirs > 0 || !scan_chain_lengths.empty(),
-          "core has neither I/O nor scan: core " + name);
+  check(inputs + outputs + bidirs > 0 || !scan_chain_lengths.empty(),
+        "core has neither I/O nor scan");
 }
 
 Cycles AnalogCore::total_cycles() const {

@@ -113,6 +113,7 @@ class Parser {
       if (!digital_) fail("Patterns outside a Module section");
       if (tok.size() != 2) fail("Patterns takes exactly one value");
       digital_->patterns = expect_int(tok[1], "patterns");
+      if (digital_->patterns <= 0) fail("Patterns must be positive");
     } else if (key == "power") {
       if (!digital_ || !in_digital_) fail("Power outside a Module section");
       if (tok.size() != 2) fail("Power takes exactly one value");

@@ -11,14 +11,14 @@
 //
 // The packer is a deterministic greedy: items are placed in descending
 // area order; each item picks the (width, start) pair minimizing its
-// completion time over the current wire-usage profile — and, when the
-// SOC (or PackingOptions) declares a power budget, over the companion
-// instantaneous-power profile: no placement may push the power sum of
-// everything running past the budget.  Both profiles are coalescing
-// skylines (usage_profile.hpp / power_profile.hpp) and wrapper busy
-// windows are coalescing interval sets (interval_set.hpp), so every
-// admission probe costs O(log n + segments crossed) instead of a full
-// walk of the timeline.
+// completion time over the current wire usage — and, when the SOC (or
+// PackingOptions) declares a power budget, over instantaneous and
+// sliding-window power too: no placement may push the power sum of
+// everything running past the budget.  One tam::Timeline
+// (timeline.hpp) owns those envelopes, all coalescing skylines, and
+// wrapper busy windows are coalescing interval sets (interval_set.hpp),
+// so every admission probe costs O(log n + segments crossed) instead of
+// a full walk of the timeline, and starts at the width's watermark.
 
 #include <string>
 #include <vector>

@@ -4,15 +4,13 @@
 #include <array>
 #include <limits>
 #include <map>
-#include <optional>
 #include <queue>
 #include <set>
 #include <utility>
 
 #include "msoc/common/error.hpp"
 #include "msoc/tam/interval_set.hpp"
-#include "msoc/tam/power_profile.hpp"
-#include "msoc/tam/usage_profile.hpp"
+#include "msoc/tam/timeline.hpp"
 #include "msoc/tam/windowed_power.hpp"
 #include "msoc/wrapper/wrapper_design.hpp"
 
@@ -55,79 +53,43 @@ struct Placement {
 /// Secondary placement criterion when the makespan increase ties.
 enum class WidthPreference { kNarrow, kWide };
 
-/// Earliest start from `not_before` satisfying wires, blocked intervals
-/// AND the power budgets (when active).  Alternates the profiles' retry
-/// times to a fixpoint: each probe strictly advances, and past the
-/// horizon every profile is empty, so a pre-checked load (power <=
-/// budget, admits_alone, width <= capacity) always terminates.
-Cycles earliest_feasible(const UsageProfile& profile,
-                         const PowerProfile* power_profile,
-                         const WindowedPowerProfile* window_profile, int width,
-                         double power, Cycles duration,
-                         const IntervalSet& blocked) {
-  Cycles candidate = profile.earliest_start(width, duration, 0, blocked);
-  if (power_profile == nullptr && window_profile == nullptr) return candidate;
-  while (true) {
-    Cycles retry = 0;
-    if (power_profile != nullptr &&
-        !power_profile->window_free(candidate, power, duration, &retry)) {
-      check_invariant(retry > candidate, "power packer failed to advance");
-      candidate = profile.earliest_start(width, duration, retry, blocked);
-      continue;
-    }
-    if (window_profile != nullptr &&
-        !window_profile->window_free(candidate, power, duration, &retry)) {
-      check_invariant(retry > candidate,
-                      "windowed power packer failed to advance");
-      candidate = profile.earliest_start(width, duration, retry, blocked);
-      continue;
-    }
-    return candidate;
-  }
-}
-
 /// Picks the (start, width) pair minimizing (makespan increase, wire
 /// area, start); `widths` pairs each width with its duration.  For a
 /// fixed width the earliest feasible start is optimal under this cost,
-/// so only one candidate start per width needs to be examined.
-Placement choose_placement(const UsageProfile& profile,
-                           const PowerProfile* power_profile,
-                           const WindowedPowerProfile* window_profile,
-                           double power,
+/// so only one candidate start per width needs to be examined — and
+/// none at all when even the width's watermark already loses.
+Placement choose_placement(Timeline& timeline, double power,
                            const std::vector<std::pair<int, Cycles>>& widths,
                            const IntervalSet& blocked,
                            Cycles current_makespan,
                            WidthPreference pref = WidthPreference::kNarrow) {
   Placement best;
   Cycles best_makespan = std::numeric_limits<Cycles>::max();
+  // The lexicographic (makespan, area, start, preference) order: true
+  // when placing `width` at `start` beats the best so far.
+  const auto beats = [&](Cycles start, int width, Cycles duration) {
+    const Cycles makespan = std::max(current_makespan, start + duration);
+    if (best.width == 0 || makespan < best_makespan) return true;
+    if (makespan != best_makespan) return false;
+    const Cycles area = static_cast<Cycles>(width) * duration;
+    const Cycles best_area = static_cast<Cycles>(best.width) * best.duration;
+    if (area != best_area) return area < best_area;  // cheapest wire usage
+    if (start != best.start) return start < best.start;
+    if (width == best.width) return false;
+    return pref == WidthPreference::kNarrow ? width < best.width
+                                            : width > best.width;
+  };
 
   for (const auto& [width, duration] : widths) {
-    {
-      const Cycles s = earliest_feasible(profile, power_profile,
-                                         window_profile, width, power,
-                                         duration, blocked);
-      const Cycles makespan =
-          std::max(current_makespan, s + duration);
-      const Cycles area = static_cast<Cycles>(width) * duration;
-      const Cycles best_area =
-          static_cast<Cycles>(best.width) * best.duration;
-      bool better = false;
-      if (best.width == 0 || makespan < best_makespan) {
-        better = true;
-      } else if (makespan == best_makespan) {
-        if (area != best_area) {
-          better = area < best_area;  // cheapest wire usage
-        } else if (s != best.start) {
-          better = s < best.start;
-        } else if (width != best.width) {
-          better = pref == WidthPreference::kNarrow ? width < best.width
-                                                    : width > best.width;
-        }
-      }
-      if (better) {
-        best = Placement{s, width, duration};
-        best_makespan = makespan;
-      }
+    // Every feasible start is >= the watermark and the order never
+    // prefers a later start, so a width losing from its watermark
+    // loses from wherever it would really start.
+    if (!beats(timeline.watermark(width), width, duration)) continue;
+    const Cycles s = timeline.earliest_feasible(width, power, duration,
+                                                blocked);
+    if (beats(s, width, duration)) {
+      best = Placement{s, width, duration};
+      best_makespan = std::max(current_makespan, s + duration);
     }
   }
   check_invariant(best.width > 0, "no feasible placement found");
@@ -220,13 +182,16 @@ std::vector<PlacementRef> make_order(const std::vector<DigitalItem>& digital,
 }
 
 /// Iterative repair: rip out the K tests finishing last and re-place
-/// them (largest first, all widths, gap fill).  K escalates 1,2,4,8 when
-/// a round fails to improve; repair stops when even K=8 cannot help.
+/// them (largest first, all widths, gap fill).  K escalates 1,2,4,8,16
+/// when a round fails to improve; repair stops when even K=16 cannot
+/// help.
 void improve_schedule(Schedule& schedule,
                       const std::vector<DigitalItem>& digital,
                       int max_rounds) {
   std::map<std::string, const DigitalItem*> digital_by_name;
   for (const DigitalItem& d : digital) digital_by_name[d.core->name] = &d;
+  const soc::PowerWindow window{schedule.window_cycles,
+                                schedule.window_limit};
 
   int victims = 1;
   for (int round = 0; round < max_rounds; ++round) {
@@ -242,33 +207,24 @@ void improve_schedule(Schedule& schedule,
     const std::size_t k =
         std::min<std::size_t>(static_cast<std::size_t>(victims),
                               schedule.tests.size());
-    std::set<std::size_t> removed(order.begin(),
-                                  order.begin() + static_cast<long>(k));
+    std::vector<bool> removed(schedule.tests.size(), false);
+    for (std::size_t i = 0; i < k; ++i) removed[order[i]] = true;
 
-    // Profiles of the surviving tests (power only when budgeted).
-    UsageProfile profile(schedule.tam_width);
-    std::optional<PowerProfile> power_profile;
-    if (schedule.max_power > 0.0) power_profile.emplace(schedule.max_power);
-    std::optional<WindowedPowerProfile> window_profile;
-    if (schedule.window_cycles > 0) {
-      window_profile.emplace(schedule.window_cycles, schedule.window_limit);
-    }
+    // Timeline of the surviving tests.
+    Timeline timeline(schedule.tam_width, schedule.max_power, window);
     Cycles rest_makespan = 0;
+    std::vector<std::size_t> victims_order;
     for (std::size_t i = 0; i < schedule.tests.size(); ++i) {
-      if (removed.count(i)) continue;
+      if (removed[i]) {
+        victims_order.push_back(i);
+        continue;
+      }
       const ScheduledTest& t = schedule.tests[i];
-      profile.reserve(t.start, t.duration, t.width);
-      if (power_profile.has_value()) {
-        power_profile->reserve(t.start, t.duration, t.power);
-      }
-      if (window_profile.has_value()) {
-        window_profile->reserve(t.start, t.duration, t.power);
-      }
+      timeline.reserve(t.start, t.duration, t.width, t.power);
       rest_makespan = std::max(rest_makespan, t.end());
     }
 
     // Re-place victims, largest wire-area first.
-    std::vector<std::size_t> victims_order(removed.begin(), removed.end());
     std::sort(victims_order.begin(), victims_order.end(),
               [&schedule](std::size_t a, std::size_t b) {
                 const ScheduledTest& ta = schedule.tests[a];
@@ -295,7 +251,7 @@ void improve_schedule(Schedule& schedule,
       IntervalSet group_busy;
       if (victim.kind == TestKind::kAnalog) {
         for (std::size_t i = 0; i < schedule.tests.size(); ++i) {
-          if (removed.count(i)) continue;
+          if (removed[i]) continue;
           const ScheduledTest& t = schedule.tests[i];
           if (t.kind == TestKind::kAnalog &&
               t.wrapper_group == victim.wrapper_group) {
@@ -309,17 +265,9 @@ void improve_schedule(Schedule& schedule,
           }
         }
       }
-      const Placement p = choose_placement(
-          profile, power_profile.has_value() ? &*power_profile : nullptr,
-          window_profile.has_value() ? &*window_profile : nullptr,
-          victim.power, widths, group_busy, new_makespan);
-      profile.reserve(p.start, p.duration, p.width);
-      if (power_profile.has_value()) {
-        power_profile->reserve(p.start, p.duration, victim.power);
-      }
-      if (window_profile.has_value()) {
-        window_profile->reserve(p.start, p.duration, victim.power);
-      }
+      const Placement p = choose_placement(timeline, victim.power, widths,
+                                           group_busy, new_makespan);
+      timeline.reserve(p.start, p.duration, p.width, victim.power);
       new_makespan = std::max(new_makespan, p.start + p.duration);
       ScheduledTest t = victim;
       t.start = p.start;
@@ -375,15 +323,7 @@ Schedule pack_once(const std::vector<DigitalItem>& digital,
                    const std::vector<AnalogGroupItem>& groups, int tam_width,
                    double max_power, soc::PowerWindow window,
                    PlacementOrder order, WidthPreference pref) {
-  UsageProfile profile(tam_width);
-  std::optional<PowerProfile> power_profile;
-  if (max_power > 0.0) power_profile.emplace(max_power);
-  const PowerProfile* power_ptr =
-      power_profile.has_value() ? &*power_profile : nullptr;
-  std::optional<WindowedPowerProfile> window_profile;
-  if (window.active()) window_profile.emplace(window.cycles, window.limit);
-  const WindowedPowerProfile* window_ptr =
-      window_profile.has_value() ? &*window_profile : nullptr;
+  Timeline timeline(tam_width, max_power, window);
   Schedule schedule;
   schedule.tam_width = tam_width;
   schedule.max_power = max_power;
@@ -402,16 +342,9 @@ Schedule pack_once(const std::vector<DigitalItem>& digital,
       for (const wrapper::ParetoPoint& p : item.pareto) {
         widths.emplace_back(p.width, p.time);
       }
-      const Placement p = choose_placement(profile, power_ptr, window_ptr,
-                                           item.power, widths, {}, makespan,
-                                           pref);
-      profile.reserve(p.start, p.duration, p.width);
-      if (power_profile.has_value()) {
-        power_profile->reserve(p.start, p.duration, item.power);
-      }
-      if (window_profile.has_value()) {
-        window_profile->reserve(p.start, p.duration, item.power);
-      }
+      const Placement p =
+          choose_placement(timeline, item.power, widths, {}, makespan, pref);
+      timeline.reserve(p.start, p.duration, p.width, item.power);
       makespan = std::max(makespan, p.start + p.duration);
       ScheduledTest t;
       t.kind = TestKind::kDigital;
@@ -429,16 +362,10 @@ Schedule pack_once(const std::vector<DigitalItem>& digital,
       IntervalSet busy;
       for (const AnalogRect& rect : item.rects) {
         const Placement p =
-            choose_placement(profile, power_ptr, window_ptr, rect.power,
+            choose_placement(timeline, rect.power,
                              {{rect.width, rect.duration}}, busy, makespan,
                              pref);
-        profile.reserve(p.start, p.duration, p.width);
-        if (power_profile.has_value()) {
-          power_profile->reserve(p.start, p.duration, rect.power);
-        }
-        if (window_profile.has_value()) {
-          window_profile->reserve(p.start, p.duration, rect.power);
-        }
+        timeline.reserve(p.start, p.duration, p.width, rect.power);
         makespan = std::max(makespan, p.start + p.duration);
         busy.insert(p.start, p.start + p.duration);
         ScheduledTest t;
@@ -586,8 +513,10 @@ Schedule schedule_soc(const soc::Soc& soc, int tam_width,
     require(!group.empty(), "empty wrapper group in partition");
     for (const std::string& name : group) {
       (void)soc.analog_by_name(name);  // throws if unknown
-      require(seen.insert(name).second,
-              "analog core appears twice in partition: " + name);
+      if (!seen.insert(name).second) {
+        throw InfeasibleError("analog core appears twice in partition: " +
+                              name);
+      }
     }
   }
   require(seen.size() == soc.analog_count(),

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <source_location>
+#include <string>
+
 #include "msoc/common/format.hpp"
 
 namespace msoc {
@@ -28,6 +31,59 @@ TEST(CheckInvariant, CarriesSourceLocation) {
     const std::string what = e.what();
     EXPECT_NE(what.find("broken"), std::string::npos);
     EXPECT_NE(what.find("test_error.cpp"), std::string::npos);
+  }
+}
+
+// The literal overloads must be drop-in: same exception type, same
+// message, same call-site annotation as the std::string ones.
+TEST(Require, LiteralOverloadThrowsLikeTheStringOverload) {
+  std::string from_literal;
+  std::string from_string;
+  try {
+    require(false, "a literal longer than the small-string buffer");
+  } catch (const InfeasibleError& e) {
+    from_literal = e.what();
+  }
+  try {
+    require(false,
+            std::string("a literal longer than the small-string buffer"));
+  } catch (const InfeasibleError& e) {
+    from_string = e.what();
+  }
+  EXPECT_EQ(from_literal, "a literal longer than the small-string buffer");
+  EXPECT_EQ(from_literal, from_string);
+  EXPECT_NO_THROW(require(true, "a literal longer than the buffer"));
+}
+
+TEST(CheckInvariant, LiteralOverloadThrowsLikeTheStringOverload) {
+  const std::source_location here = std::source_location::current();
+  std::string from_literal;
+  std::string from_string;
+  try {
+    check_invariant(false, "packer failed to advance", here);
+  } catch (const LogicError& e) {
+    from_literal = e.what();
+  }
+  try {
+    check_invariant(false, std::string("packer failed to advance"), here);
+  } catch (const LogicError& e) {
+    from_string = e.what();
+  }
+  EXPECT_EQ(from_literal, from_string);
+  EXPECT_NE(from_literal.find("packer failed to advance"), std::string::npos);
+  EXPECT_NO_THROW(check_invariant(true, "packer failed to advance"));
+}
+
+TEST(CheckInvariant, LiteralOverloadAnnotatesItsCaller) {
+  const int line = __LINE__ + 2;
+  try {
+    check_invariant(false, "a literal longer than the small-string buffer");
+    FAIL() << "expected LogicError";
+  } catch (const LogicError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("test_error.cpp:" + std::to_string(line)),
+              std::string::npos)
+        << what;
   }
 }
 

@@ -98,6 +98,25 @@ TEST(Itc02Parse, RejectsInvalidCoreData) {
                ParseError);
 }
 
+TEST(Itc02Parse, RejectsZeroPatternsAtTheirLine) {
+  try {
+    (void)parse_soc_string(
+        "SocName x\nModule 1 m\n  Inputs 1\n  Patterns 0\n", "zero.soc");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 4);
+    EXPECT_NE(std::string(e.what()).find("Patterns must be positive"),
+              std::string::npos);
+  }
+  // A module that never declares Patterns is rejected too, naming it.
+  try {
+    (void)parse_soc_string("Module 1 m\n  Inputs 1\n", "none.soc");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("core m"), std::string::npos);
+  }
+}
+
 TEST(Itc02RoundTrip, WriteThenParseIsIdentity) {
   const Soc original = parse_soc_string(kSample);
   const std::string text = write_soc_string(original);

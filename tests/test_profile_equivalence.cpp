@@ -1,5 +1,7 @@
 // Property tests pinning the skyline-backed UsageProfile/PowerProfile
-// to the historical delta-map implementations they replaced.  The
+// to the historical delta-map implementations they replaced, and the
+// packer's Timeline to the plain probe-from-origin alternation over
+// those profiles.  The
 // reference classes below are verbatim ports of the pre-refactor code
 // (prefix-sum walks over a +/- delta map, fixpoint advance over an
 // unsorted blocked vector); the bit-identity claim in the refactor is
@@ -9,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -17,7 +21,9 @@
 #include "msoc/common/rng.hpp"
 #include "msoc/tam/interval_set.hpp"
 #include "msoc/tam/power_profile.hpp"
+#include "msoc/tam/timeline.hpp"
 #include "msoc/tam/usage_profile.hpp"
+#include "msoc/tam/windowed_power.hpp"
 
 namespace msoc::tam {
 namespace {
@@ -299,6 +305,121 @@ TEST(ProfileEquivalence, PowerProfileMatchesDeltaMapOnArbitraryLoads) {
       ASSERT_EQ(new_free, old_free)
           << "round=" << round << " start=" << start << " p=" << power;
       if (!new_free) ASSERT_EQ(new_retry, old_retry);
+    }
+  }
+}
+
+/// The packer's admission query before Timeline: the three profiles
+/// updated in lockstep, probed from `not_before` (no watermark), their
+/// retry times alternated by hand to a fixpoint.
+struct ReferenceTimeline {
+  UsageProfile usage;
+  std::optional<PowerProfile> power;
+  std::optional<WindowedPowerProfile> window;
+
+  ReferenceTimeline(int capacity, double max_power, soc::PowerWindow w)
+      : usage(capacity) {
+    if (max_power > 0.0) power.emplace(max_power);
+    if (w.active()) window.emplace(w.cycles, w.limit);
+  }
+
+  void reserve(Cycles start, Cycles duration, int width, double load) {
+    usage.reserve(start, duration, width);
+    if (power) power->reserve(start, duration, load);
+    if (window) window->reserve(start, duration, load);
+  }
+
+  [[nodiscard]] Cycles earliest_feasible(int width, double load,
+                                         Cycles duration,
+                                         const IntervalSet& blocked,
+                                         Cycles not_before) const {
+    Cycles candidate =
+        usage.earliest_start(width, duration, not_before, blocked);
+    while (true) {
+      Cycles retry = 0;
+      if (power && !power->window_free(candidate, load, duration, &retry)) {
+        candidate = usage.earliest_start(width, duration, retry, blocked);
+        continue;
+      }
+      if (window &&
+          !window->window_free(candidate, load, duration, &retry)) {
+        candidate = usage.earliest_start(width, duration, retry, blocked);
+        continue;
+      }
+      return candidate;
+    }
+  }
+};
+
+/// First time whose wire level admits `width`, walking from t = 0.
+Cycles brute_force_watermark(const UsageProfile& usage, int width) {
+  const long long room = usage.capacity() - width;
+  if (usage.skyline().level_at(0) <= room) return 0;
+  for (const auto& [start, level] : usage.skyline()) {
+    if (level <= room) return start;
+  }
+  ADD_FAILURE() << "skyline never drains";
+  return 0;
+}
+
+TEST(ProfileEquivalence, TimelineMatchesTheUnwatermarkedAlternation) {
+  // Interleaved reserve/probe sequences under every combination of
+  // peak and windowed budgets, with blocked sets and non-zero origins.
+  // Most reservations land where the probe put them (as in the
+  // packer); some land anywhere, overloading the envelopes so the
+  // retry paths of every profile get exercised.
+  Rng rng(20261017);
+  for (int round = 0; round < 48; ++round) {
+    const int capacity = rng.uniform_int(4, 24);
+    const bool peak = round % 2 == 1;
+    const bool windowed = round % 4 >= 2;
+    const double max_power = peak ? 0.5 * rng.uniform_int(20, 80) : 0.0;
+    const soc::PowerWindow power_window =
+        windowed ? soc::PowerWindow{rng.uniform_u64(10, 120),
+                                    0.5 * rng.uniform_int(10, 60)}
+                 : soc::PowerWindow{};
+    Timeline timeline(capacity, max_power, power_window);
+    ReferenceTimeline reference(capacity, max_power, power_window);
+
+    for (int op = 0; op < 150; ++op) {
+      const int width = rng.uniform_int(1, capacity);
+      const Cycles duration = rng.uniform_u64(1, 60);
+      double load = 0.5 * rng.uniform_int(0, 40);
+      if (peak) load = std::min(load, max_power);
+      while (windowed &&
+             !WindowedPowerProfile(power_window.cycles, power_window.limit)
+                  .admits_alone(load, duration)) {
+        load /= 2.0;
+      }
+      if (rng.uniform_int(0, 5) == 0) {
+        const Cycles start = rng.uniform_u64(0, 400);
+        timeline.reserve(start, duration, width, load);
+        reference.reserve(start, duration, width, load);
+        continue;
+      }
+      IntervalSet blocked;
+      const int n = rng.uniform_int(0, 3) == 0 ? rng.uniform_int(1, 6) : 0;
+      for (int i = 0; i < n; ++i) {
+        const Cycles b = rng.uniform_u64(0, 500);
+        blocked.insert(b, b + rng.uniform_u64(1, 80));
+      }
+      const Cycles not_before =
+          rng.uniform_int(0, 1) == 0 ? 0 : rng.uniform_u64(0, 500);
+      const Cycles mark = timeline.watermark(width);
+      ASSERT_EQ(mark, brute_force_watermark(reference.usage, width))
+          << "round=" << round << " op=" << op << " w=" << width;
+      const Cycles got = timeline.earliest_feasible(width, load, duration,
+                                                    blocked, not_before);
+      const Cycles want = reference.earliest_feasible(width, load, duration,
+                                                      blocked, not_before);
+      ASSERT_EQ(got, want) << "round=" << round << " op=" << op
+                           << " w=" << width << " d=" << duration
+                           << " p=" << load << " from=" << not_before;
+      ASSERT_GE(got, mark);
+      if (rng.uniform_int(0, 1) == 0) {
+        timeline.reserve(got, duration, width, load);
+        reference.reserve(got, duration, width, load);
+      }
     }
   }
 }

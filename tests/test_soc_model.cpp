@@ -43,6 +43,18 @@ TEST(DigitalCoreModel, ValidationRejectsNonsense) {
   EXPECT_THROW(c.validate(), InfeasibleError);
 }
 
+TEST(DigitalCoreModel, ValidationRejectsZeroPatternsNamingTheCore) {
+  // Zero patterns means a zero-length test, which no schedule can place.
+  DigitalCore c = simple_digital("cpu7");
+  c.patterns = 0;
+  try {
+    c.validate();
+    FAIL() << "expected InfeasibleError";
+  } catch (const InfeasibleError& e) {
+    EXPECT_NE(std::string(e.what()).find("cpu7"), std::string::npos);
+  }
+}
+
 AnalogCore two_test_core() {
   AnalogCore a;
   a.name = "X";
@@ -144,6 +156,7 @@ TEST(SocModel, PowerBudgetAndPeaks) {
   DigitalCore d;
   d.name = "d";
   d.inputs = 1;
+  d.patterns = 1;
   d.power = 120.0;
   soc.add_digital(d);
   AnalogCore a = two_test_core();
@@ -158,6 +171,7 @@ TEST(SocModel, NegativePowersRejectedByValidation) {
   DigitalCore d;
   d.name = "d";
   d.inputs = 1;
+  d.patterns = 1;
   d.power = -0.5;
   EXPECT_THROW(d.validate(), InfeasibleError);
   AnalogCore a = two_test_core();
