@@ -96,10 +96,10 @@ int main(int argc, char** argv) {
 
   // The multi-SOC scenario sweep: per-case wall times are the trajectory.
   plan::SweepConfig sweep_config = plan::default_benchmark_sweep();
-  sweep_config.jobs = 0;  // all cores
+  sweep_config.frontier.jobs = 0;  // all cores
   const plan::SweepResult sweep = plan::run_sweep(sweep_config);
   std::printf("benchmark sweep: %zu cases in %.1f ms (jobs=%d)\n",
-              sweep.rows.size(), sweep.total_wall_ms, sweep.jobs);
+              sweep_config.case_count(), sweep.total_wall_ms, sweep.jobs);
 
   bool all_identical = true;
   for (const ScalingPoint& p : points) all_identical &= p.identical;

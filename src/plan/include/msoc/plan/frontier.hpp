@@ -88,6 +88,10 @@ struct FrontierOptions {
   mswrap::SharingPolicy policy;
   mswrap::EnumerationOptions enumeration;
   tam::PackingOptions packing;
+
+  /// The ladder and budget rules every engine and sweep checks before
+  /// solving anything; throws InfeasibleError.
+  void validate() const;
 };
 
 /// One (width, power) budget cell's outcome.
@@ -114,6 +118,11 @@ struct FrontierPoint {
   double wall_ms = 0.0;
   std::string error;          ///< Set when this width is infeasible.
 
+  /// An unsolved cell at `width` under the resolved `max_power` and
+  /// `window` (inactive = unwindowed).
+  [[nodiscard]] static FrontierPoint cell(int width, double max_power,
+                                          const soc::PowerWindow& window);
+
   [[nodiscard]] bool ok() const { return error.empty(); }
 };
 
@@ -139,6 +148,10 @@ struct FrontierResult {
   /// EVERY power rung — the sanity the paper's Tables 3-4 rely on.
   bool time_monotone = true;
   double wall_ms = 0.0;       ///< Whole run, setup included.
+
+  /// The point solved for `width` under the resolved budget
+  /// `max_power`; a LogicError when the run had no such cell.
+  [[nodiscard]] const FrontierPoint& point(int width, double max_power) const;
 
   /// "msoc-frontier-v1" JSON document, "msoc-frontier-v2" (adding
   /// per-point max_power) when any rung is power-constrained,

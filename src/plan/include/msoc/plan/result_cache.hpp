@@ -98,12 +98,6 @@ namespace msoc::plan {
     const std::vector<soc::AnalogCore>& cores,
     const mswrap::Partition& partition, bool powered);
 
-/// Full-digest convenience overload (identical to powered = true, and
-/// to every flavor on cores that declare no power).
-[[nodiscard]] std::string partition_key(
-    const std::vector<soc::AnalogCore>& cores,
-    const mswrap::Partition& partition);
-
 /// Size/eviction policy knobs of a disk-backed ResultCache.
 struct CacheTuning {
   /// Journal payload bytes past which flush() compacts the shard.

@@ -13,6 +13,7 @@
 #include "msoc/common/json.hpp"
 #include "msoc/common/logging.hpp"
 #include "msoc/soc/digest.hpp"
+#include "cell_writer.hpp"
 
 namespace msoc::plan {
 
@@ -42,10 +43,37 @@ int count_dirty(const std::vector<bool>& clean) {
 
 }  // namespace
 
+void FrontierOptions::validate() const {
+  require(!widths.empty(), "frontier needs at least one TAM width");
+  require(!max_powers.empty(), "frontier needs at least one power budget");
+  for (const double budget : max_powers) {
+    // NaN slips through every sign test (NaN < 0.0 is false) and would
+    // poison the cache's EntryKey ordering; infinities serialize badly.
+    require(std::isfinite(budget) || budget < 0.0,
+            "power budgets must be finite (or negative = inherit)");
+  }
+  require(std::isfinite(packing.window_limit) || packing.window_limit < 0.0,
+          "the window limit must be finite (or negative = inherit)");
+  require(packing.window_limit <= 0.0 || packing.window_cycles > 0,
+          "an explicit window limit needs a positive window length");
+  require(epsilon >= 0.0, "epsilon must be non-negative");
+}
+
+FrontierPoint FrontierPoint::cell(int width, double max_power,
+                                  const soc::PowerWindow& window) {
+  FrontierPoint point;
+  point.tam_width = width;
+  point.max_power = max_power;
+  if (window.active()) {
+    point.window_cycles = window.cycles;
+    point.window_limit = window.limit;
+  }
+  return point;
+}
+
 FrontierEngine::FrontierEngine(const soc::Soc& soc, FrontierOptions options)
     : soc_(soc), options_(std::move(options)) {
-  require(!options_.widths.empty(), "frontier needs at least one TAM width");
-  require(options_.epsilon >= 0.0, "epsilon must be non-negative");
+  options_.validate();
   options_.weights.validate();
   require(soc_.analog_count() >= 1,
           "mixed-signal planning needs at least one analog core");
@@ -58,13 +86,7 @@ FrontierEngine::FrontierEngine(const soc::Soc& soc, FrontierOptions options)
   // order the rungs: unconstrained first, then descending (tightening)
   // budgets.  With the default one-inherit-rung ladder on an
   // unconstrained SOC this is exactly the pre-power single solve.
-  require(!options_.max_powers.empty(),
-          "frontier needs at least one power budget");
   for (const double budget : options_.max_powers) {
-    // NaN slips through every sign test (NaN < 0.0 is false) and would
-    // poison the cache's EntryKey ordering; infinities serialize badly.
-    require(std::isfinite(budget) || budget < 0.0,
-            "power budgets must be finite (or negative = inherit)");
     powers_.push_back(budget < 0.0 ? soc_.max_power() : budget);
   }
   std::sort(powers_.begin(), powers_.end(), [](double a, double b) {
@@ -130,13 +152,7 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
                                                   double max_power,
                                                   bool trust_cache) {
   const Clock::time_point started = Clock::now();
-  FrontierPoint point;
-  point.tam_width = width;
-  point.max_power = max_power;
-  if (window_.active()) {
-    point.window_cycles = window_.cycles;
-    point.window_limit = window_.limit;
-  }
+  FrontierPoint point = FrontierPoint::cell(width, max_power, window_);
   point.total_combinations = static_cast<int>(space_->cells.size());
 
   if (width < 1) {
@@ -330,12 +346,7 @@ FrontierResult FrontierEngine::run_grid() {
       try {
         point = solve_point(width, max_power);
       } catch (const InfeasibleError& e) {
-        point.tam_width = width;
-        point.max_power = max_power;
-        if (window_.active()) {
-          point.window_cycles = window_.cycles;
-          point.window_limit = window_.limit;
-        }
+        point = FrontierPoint::cell(width, max_power, window_);
         point.total_combinations = static_cast<int>(space_->cells.size());
         point.error = e.what();
       }
@@ -418,84 +429,46 @@ FrontierResult FrontierEngine::replan(const std::string& baseline_digest) {
   return result;
 }
 
-namespace {
-
-/// True when any point ran under a finite power budget: the signal
-/// that switches serializers to the v2 schemas.  All-unconstrained
-/// results keep emitting the v1 documents byte-for-byte.
-bool any_power_constrained(const std::vector<FrontierPoint>& points) {
-  return std::any_of(points.begin(), points.end(),
-                     [](const FrontierPoint& p) { return p.max_power > 0.0; });
+const FrontierPoint& FrontierResult::point(int width,
+                                           double max_power) const {
+  const auto found =
+      std::find_if(points.begin(), points.end(), [&](const FrontierPoint& p) {
+        return p.tam_width == width && p.max_power == max_power;
+      });
+  check_invariant(found != points.end(), "frontier has no such cell");
+  return *found;
 }
-
-/// True when any point ran under a sliding-window budget: switches the
-/// serializers to v4 and emits the per-point window fields.
-bool any_windowed(const std::vector<FrontierPoint>& points) {
-  return std::any_of(points.begin(), points.end(), [](const FrontierPoint& p) {
-    return p.window_cycles > 0;
-  });
-}
-
-}  // namespace
 
 std::string FrontierResult::to_csv() const {
-  const bool constrained = any_power_constrained(points);
-  const bool windowed = any_windowed(points);
+  BudgetColumns columns;
+  columns.include(points);
   const bool replan = !replanned_from.empty();
+  std::vector<std::string> own = {"total_combinations", "cache_hits",
+                                  "pruned", "pareto"};
+  if (replan) own.insert(own.begin() + 3, "reused");
   std::ostringstream out;
-  std::vector<std::string> header = {"soc", "tam_width", "w_time",
-                                     "algorithm", "best_label", "best_total",
-                                     "c_time", "c_area", "test_time",
-                                     "t_max", "evaluations",
-                                     "total_combinations", "cache_hits",
-                                     "pruned", "pareto", "wall_ms", "error"};
-  if (replan) header.insert(header.begin() + 14, "reused");
-  if (windowed) {
-    header.insert(header.begin() + 2, {"window_cycles", "window_limit"});
-  }
-  if (constrained) header.insert(header.begin() + 2, "max_power");
-  CsvWriter csv(out, header);
+  CsvWriter csv(out, columns.csv_header(own));
   for (const FrontierPoint& p : points) {
-    std::vector<std::string> row = {
-        soc_name, std::to_string(p.tam_width),
-        round_trip_double(w_time), algorithm, p.best.label,
-        round_trip_double(p.best.total), round_trip_double(p.best.c_time),
-        round_trip_double(p.best.c_area), std::to_string(p.best.test_time),
-        std::to_string(p.t_max), std::to_string(p.evaluations),
-        std::to_string(p.total_combinations),
-        std::to_string(p.cache_hits), std::to_string(p.pruned),
-        p.pareto ? "1" : "0", round_trip_double(p.wall_ms), p.error};
-    if (replan) row.insert(row.begin() + 14, std::to_string(p.reused));
-    if (windowed) {
-      row.insert(row.begin() + 2,
-                 {std::to_string(p.window_cycles),
-                  round_trip_double(p.window_limit)});
-    }
-    if (constrained) {
-      row.insert(row.begin() + 2, round_trip_double(p.max_power));
-    }
-    csv.write_row(row);
+    own = {std::to_string(p.total_combinations), std::to_string(p.cache_hits),
+           std::to_string(p.pruned), p.pareto ? "1" : "0"};
+    if (replan) own.insert(own.begin() + 3, std::to_string(p.reused));
+    csv.write_row(columns.csv_row(*this, p, own));
   }
   return out.str();
 }
 
 std::string FrontierResult::to_json() const {
-  const bool constrained = any_power_constrained(points);
-  const bool windowed = any_windowed(points);
+  BudgetColumns columns;
+  columns.include(points);
   const bool replan = !replanned_from.empty();
   const char* schema =
-      windowed ? "v4" : (replan ? "v3" : (constrained ? "v2" : "v1"));
+      columns.window ? "v4" : (replan ? "v3" : (columns.power ? "v2" : "v1"));
   std::ostringstream os;
   os << "{\n"
      << "  \"schema\": \"msoc-frontier-" << schema << "\",\n"
      << "  \"soc\": \"" << json_escape(soc_name) << "\",\n"
      << "  \"digest\": \"" << json_escape(digest) << "\",\n";
-  if (replan) {
-    os << "  \"replanned_from\": \"" << json_escape(replanned_from)
-       << "\",\n"
-       << "  \"reused\": " << reused << ",\n"
-       << "  \"dirty_partitions\": " << dirty_partitions << ",\n";
-  }
+  if (replan) write_replan_json(os, replanned_from, reused, dirty_partitions);
   os << "  \"algorithm\": \"" << json_escape(algorithm) << "\",\n"
      << "  \"w_time\": " << round_trip_double(w_time) << ",\n"
      << "  \"evaluations\": " << evaluations << ",\n"
@@ -509,28 +482,14 @@ std::string FrontierResult::to_json() const {
     const FrontierPoint& p = points[i];
     os << (i == 0 ? "\n" : ",\n");
     os << "    {\"tam_width\": " << p.tam_width << ", ";
-    if (constrained) {
-      os << "\"max_power\": " << round_trip_double(p.max_power) << ", ";
-    }
-    if (windowed) {
-      os << "\"window_cycles\": " << p.window_cycles << ", "
-         << "\"window_limit\": " << round_trip_double(p.window_limit)
-         << ", ";
-    }
+    columns.write_json(os, p);
     os << "\"wall_ms\": " << round_trip_double(p.wall_ms) << ", ";
     if (!p.ok()) {
       os << "\"error\": \"" << json_escape(p.error) << "\"}";
       continue;
     }
-    os << "\"best\": {\"label\": \"" << json_escape(p.best.label) << "\", "
-       << "\"total\": " << round_trip_double(p.best.total) << ", "
-       << "\"c_time\": " << round_trip_double(p.best.c_time) << ", "
-       << "\"c_area\": " << round_trip_double(p.best.c_area) << ", "
-       << "\"test_time\": " << p.best.test_time << ", "
-       << "\"t_max\": " << p.t_max << "}, "
-       << "\"evaluations\": " << p.evaluations << ", "
-       << "\"total_combinations\": " << p.total_combinations << ", "
-       << "\"cache_hits\": " << p.cache_hits << ", ";
+    write_best_json(os, p);
+    os << "\"cache_hits\": " << p.cache_hits << ", ";
     if (replan) os << "\"reused\": " << p.reused << ", ";
     os << "\"pruned\": " << p.pruned << ", "
        << "\"pareto\": " << (p.pareto ? "true" : "false") << "}";

@@ -120,33 +120,32 @@ std::string serialize(const PlanRequest& r, bool hash_soc_text) {
   return out.str();
 }
 
-int jobs_of(const PlanRequest& request) {
-  return static_cast<int>(request.jobs.value_or(1));
-}
-
-/// An explicit window overrides the SOC's; absent leaves the packing
-/// default (inherit).
-void apply_window(const PlanRequest& request, tam::PackingOptions& packing) {
-  if (!request.window_limit) return;
-  packing.window_limit = *request.window_limit;
-  packing.window_cycles =
-      static_cast<Cycles>(request.window_cycles.value_or(0));
-}
-
-PlanOutcome execute_frontier(const PlanRequest& request, const soc::Soc& soc,
-                             ResultCache* cache) {
+/// The engine options a request asks for; the single plan reads its
+/// weights, budgets and algorithm from them too.
+FrontierOptions frontier_options(const PlanRequest& request,
+                                 ResultCache* cache) {
   FrontierOptions options;
   options.widths = request.width_ladder();
   if (request.max_powers) options.max_powers = *request.max_powers;
-  apply_window(request, options.packing);
+  // An explicit window overrides the SOC's; absent leaves the packing
+  // default (inherit).
+  if (request.window_limit) {
+    options.packing.window_limit = *request.window_limit;
+    options.packing.window_cycles =
+        static_cast<Cycles>(request.window_cycles.value_or(0));
+  }
   const double w_time = request.w_time.value_or(0.5);
   options.weights = {w_time, 1.0 - w_time};
   options.exhaustive = request.exhaustive.value_or(false);
   options.epsilon = request.epsilon.value_or(0.0);
-  options.jobs = jobs_of(request);
+  options.jobs = static_cast<int>(request.jobs.value_or(1));
   options.cache = cache;
+  return options;
+}
 
-  FrontierEngine engine(soc, options);
+PlanOutcome execute_frontier(const PlanRequest& request, const soc::Soc& soc,
+                             ResultCache* cache) {
+  FrontierEngine engine(soc, frontier_options(request, cache));
   FrontierResult result = request.replan_from
                               ? engine.replan(*request.replan_from)
                               : engine.run();
@@ -163,20 +162,8 @@ PlanOutcome execute_sweep(const PlanRequest& request,
                           ResultCache* cache) {
   SweepConfig config;
   config.socs = socs;
-  if (request.width || request.widths) {
-    config.tam_widths = request.width_ladder();
-  }
-  if (request.max_powers) config.max_powers = *request.max_powers;
-  if (request.window_limit) {
-    config.window_limit = *request.window_limit;
-    config.window_cycles =
-        static_cast<Cycles>(request.window_cycles.value_or(0));
-  }
   if (request.w_time) config.time_weights = {*request.w_time};
-  config.exhaustive = request.exhaustive.value_or(false);
-  config.epsilon = request.epsilon.value_or(0.0);
-  config.jobs = jobs_of(request);
-  config.cache = cache;
+  config.frontier = frontier_options(request, cache);
   config.replan_from = request.replan_from.value_or("");
 
   SweepResult result = run_sweep(config);
@@ -188,70 +175,58 @@ PlanOutcome execute_sweep(const PlanRequest& request,
 }
 
 PlanOutcome execute_plan(const PlanRequest& request, const soc::Soc& soc) {
-  const int width = static_cast<int>(request.width.value_or(32));
-  const double w_time = request.w_time.value_or(0.5);
-  const bool exhaustive = request.exhaustive.value_or(false);
-  const int jobs = jobs_of(request);
-
+  const FrontierOptions options = frontier_options(request, nullptr);
   PlanningProblem problem;
   problem.soc = &soc;
-  problem.tam_width = width;
-  problem.weights = {w_time, 1.0 - w_time};
-  if (request.max_powers) {
-    problem.packing.max_power = request.max_powers->front();
-  }
-  apply_window(request, problem.packing);
-  const soc::PowerWindow window =
-      tam::effective_power_window(soc, problem.packing);
+  problem.tam_width = static_cast<int>(request.width.value_or(32));
+  problem.weights = options.weights;
+  problem.packing = options.packing;
+  problem.packing.max_power = options.max_powers.front();
 
   CostModel model(problem);
   OptimizationResult result;
   const auto started = std::chrono::steady_clock::now();
-  if (exhaustive) {
-    result = optimize_exhaustive(model, jobs);
+  if (options.exhaustive) {
+    result = optimize_exhaustive(model, options.jobs);
   } else {
     HeuristicOptions heuristic;
-    heuristic.epsilon = request.epsilon.value_or(0.0);
-    heuristic.jobs = jobs;
+    heuristic.epsilon = options.epsilon;
+    heuristic.jobs = options.jobs;
     result = optimize_cost_heuristic(model, heuristic);
   }
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - started)
-                             .count();
-  const CombinationCost& best = result.best;
 
-  // A single plan is documented as a one-case sweep.
+  // A single plan is documented as a one-case sweep.  Its cell keeps
+  // the optimizer's evaluation count (the paper's N): the frontier
+  // engine's pruning would report fewer.
+  FrontierResult series;
+  series.soc_name = soc.name();
+  series.algorithm = options.exhaustive ? "exhaustive" : "cost_optimizer";
+  series.w_time = options.weights.time;
+  FrontierPoint& point = series.points.emplace_back(FrontierPoint::cell(
+      problem.tam_width, tam::effective_max_power(soc, problem.packing),
+      tam::effective_power_window(soc, problem.packing)));
+  point.best = result.best;
+  point.t_max = model.t_max();
+  point.evaluations = result.evaluations;
+  point.total_combinations = result.total_combinations;
+  point.wall_ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - started)
+                      .count();
+
   SweepResult single;
-  single.exhaustive = exhaustive;
-  single.epsilon = request.epsilon.value_or(0.0);
+  single.widths = {point.tam_width};
+  single.budgets = {{point.max_power}};
+  single.exhaustive = options.exhaustive;
+  single.epsilon = options.epsilon;
   // Sweep semantics: threads actually used, never 0.
-  single.jobs = std::min(jobs <= 0 ? hardware_jobs() : jobs,
-                         std::max(result.total_combinations, 1));
-  single.total_wall_ms = wall_ms;
-  SweepRow row;
-  row.soc_name = soc.name();
-  row.tam_width = width;
-  row.max_power = tam::effective_max_power(soc, problem.packing);
-  if (window.active()) {
-    row.window_cycles = window.cycles;
-    row.window_limit = window.limit;
-  }
-  row.w_time = w_time;
-  row.algorithm = exhaustive ? "exhaustive" : "cost_optimizer";
-  row.best_label = best.label;
-  row.best_total = best.total;
-  row.c_time = best.c_time;
-  row.c_area = best.c_area;
-  row.test_time = best.test_time;
-  row.t_max = model.t_max();
-  row.evaluations = result.evaluations;
-  row.total_combinations = result.total_combinations;
-  row.evaluation_reduction_percent = result.evaluation_reduction_percent();
-  row.wall_ms = wall_ms;
-  single.rows.push_back(std::move(row));
+  single.jobs =
+      std::min(options.jobs <= 0 ? hardware_jobs() : options.jobs,
+               std::max(result.total_combinations, 1));
+  single.total_wall_ms = point.wall_ms;
+  single.series.push_back(std::move(series));
 
   PlanOutcome outcome;
-  outcome.schedule = model.schedule_for(best.partition);
+  outcome.schedule = model.schedule_for(result.best.partition);
   outcome.document = single.to_json();
   outcome.csv = tam::schedule_to_csv(*outcome.schedule);
   outcome.sweep = std::move(single);

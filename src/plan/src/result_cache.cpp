@@ -200,11 +200,6 @@ std::string partition_key(const std::vector<soc::AnalogCore>& cores,
   return joined;
 }
 
-std::string partition_key(const std::vector<soc::AnalogCore>& cores,
-                          const mswrap::Partition& partition) {
-  return partition_key(cores, partition, /*powered=*/true);
-}
-
 ResultCache::EntryKey::EntryKey(int width, double power, std::string fp,
                                 std::string part, Cycles wcycles,
                                 double wlimit)

@@ -319,7 +319,7 @@ TEST(Frontier, StaleCacheEntriesRecomputedNotFatal) {
           "\", \"soc_name\": \"d695m\", \"entries\": [{\"width\": 16, "
           "\"packing\": \"" + packing_fingerprint(tam::PackingOptions{}) +
           "\", \"partition\": \"" +
-          partition_key(soc.analog_cores(), all_share) +
+          partition_key(soc.analog_cores(), all_share, /*powered=*/true) +
           "\", \"test_time\": 1000}]}");
 
   ResultCache cache(dir);

@@ -316,12 +316,12 @@ TEST(ReplanSweep, SplicesEveryCaseAndReportsCacheStats) {
   const soc::Soc baseline = soc::make_d695m();
   SweepConfig config;
   config.socs = {baseline};
-  config.tam_widths = {16, 24};
-  config.max_powers = {0.0};
+  config.frontier.widths = {16, 24};
+  config.frontier.max_powers = {0.0};
   config.time_weights = {0.25, 0.75};
   const std::string dir = fresh_dir("sweep_replan");
   ResultCache cold_cache(dir);
-  config.cache = &cold_cache;
+  config.frontier.cache = &cold_cache;
   const SweepResult cold = run_sweep(config);
   ASSERT_TRUE(cold.cache_used);
   EXPECT_GT(cold.cache_records, 0);
@@ -330,24 +330,31 @@ TEST(ReplanSweep, SplicesEveryCaseAndReportsCacheStats) {
   config.socs = {soc::powered_d695m(2.0)};
   config.replan_from = soc::digest_hex(baseline);
   ResultCache warm_cache(dir);
-  config.cache = &warm_cache;
+  config.frontier.cache = &warm_cache;
   const SweepResult replanned = run_sweep(config);
 
   EXPECT_EQ(replanned.replanned_from, soc::digest_hex(baseline));
   EXPECT_GT(replanned.reused, 0);
   EXPECT_EQ(replanned.dirty_partitions, 0);
-  ASSERT_EQ(replanned.rows.size(), cold.rows.size());
-  for (std::size_t i = 0; i < replanned.rows.size(); ++i) {
-    const SweepRow& row = replanned.rows[i];
-    ASSERT_TRUE(row.ok()) << row.error;
-    EXPECT_EQ(row.evaluations, 0) << i;
-    EXPECT_GT(row.reused, 0) << i;
+  std::vector<FrontierPoint> cold_cases;
+  cold.for_each_case([&](const FrontierResult&, const FrontierPoint& p) {
+    cold_cases.push_back(p);
+  });
+  std::size_t i = 0;
+  replanned.for_each_case([&](const FrontierResult&, const FrontierPoint& p) {
+    ASSERT_LT(i, cold_cases.size());
+    const FrontierPoint& baseline_case = cold_cases[i];
+    ASSERT_TRUE(p.ok()) << p.error;
+    EXPECT_EQ(p.evaluations, 0) << i;
+    EXPECT_GT(p.reused, 0) << i;
     // The plan itself must match the cold sweep of the baseline —
     // power annotations are invisible to unconstrained packing.
-    EXPECT_EQ(row.test_time, cold.rows[i].test_time) << i;
-    EXPECT_EQ(row.best_label, cold.rows[i].best_label) << i;
-    EXPECT_EQ(row.best_total, cold.rows[i].best_total) << i;
-  }
+    EXPECT_EQ(p.best.test_time, baseline_case.best.test_time) << i;
+    EXPECT_EQ(p.best.label, baseline_case.best.label) << i;
+    EXPECT_EQ(p.best.total, baseline_case.best.total) << i;
+    ++i;
+  });
+  EXPECT_EQ(i, cold_cases.size());
 
   const std::string json = replanned.to_json();
   EXPECT_NE(json.find("\"msoc-sweep-v3\""), std::string::npos);
@@ -360,12 +367,12 @@ TEST(ReplanSweep, SplicesEveryCaseAndReportsCacheStats) {
 TEST(ReplanSweep, ConfigValidationRejectsUnusableReplans) {
   SweepConfig config;
   config.socs = {soc::make_d695m()};
-  config.tam_widths = {16};
+  config.frontier.widths = {16};
   config.replan_from = "00000000deadbeef";
   EXPECT_THROW((void)run_sweep(config), Error);  // no cache
 
   ResultCache cache(fresh_dir("sweep_validation"));
-  config.cache = &cache;
+  config.frontier.cache = &cache;
   config.socs.push_back(soc::make_p93791m());
   EXPECT_THROW((void)run_sweep(config), Error);  // two SOCs
 }

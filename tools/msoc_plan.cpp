@@ -63,6 +63,7 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -371,11 +372,16 @@ int report_frontier(const Options& options,
                     const msoc::plan::FrontierResult& result,
                     const msoc::plan::ResultCache* cache) {
   const PlanRequest& request = options.request;
+  // Duplicate rungs collapse: count the widths actually solved.
+  std::set<int> widths;
+  for (const msoc::plan::FrontierPoint& p : result.points) {
+    widths.insert(p.tam_width);
+  }
   std::printf("frontier: SOC %s (digest %s), %zu widths, %s, w_T=%.2f, "
               "jobs=%lld\n",
-              result.soc_name.c_str(), result.digest.c_str(),
-              request.width_ladder().size(), algorithm_name(request),
-              result.w_time, static_cast<long long>(request.jobs.value_or(1)));
+              result.soc_name.c_str(), result.digest.c_str(), widths.size(),
+              algorithm_name(request), result.w_time,
+              static_cast<long long>(request.jobs.value_or(1)));
   int failures = 0;
   for (const msoc::plan::FrontierPoint& p : result.points) {
     const std::string power = power_tag(p.max_power, "  P=%-8.6g");
@@ -422,23 +428,26 @@ int report_frontier(const Options& options,
 }
 
 int report_sweep(const msoc::plan::SweepResult& result) {
+  int cases = 0;
   int failures = 0;
-  for (const msoc::plan::SweepRow& row : result.rows) {
-    const std::string power = power_tag(row.max_power, " P=%-8.6g");
-    if (row.ok()) {
+  result.for_each_case([&](const msoc::plan::FrontierResult& series,
+                           const msoc::plan::FrontierPoint& p) {
+    ++cases;
+    const std::string power = power_tag(p.max_power, " P=%-8.6g");
+    if (p.ok()) {
       std::printf("  %-10s W=%-3d%s w_T=%.2f  C=%8.2f  %-24s %6.1f ms\n",
-                  row.soc_name.c_str(), row.tam_width, power.c_str(),
-                  row.w_time, row.best_total, row.best_label.c_str(),
-                  row.wall_ms);
+                  series.soc_name.c_str(), p.tam_width, power.c_str(),
+                  series.w_time, p.best.total, p.best.label.c_str(),
+                  p.wall_ms);
     } else {
       ++failures;
       std::printf("  %-10s W=%-3d%s w_T=%.2f  infeasible: %s\n",
-                  row.soc_name.c_str(), row.tam_width, power.c_str(),
-                  row.w_time, row.error.c_str());
+                  series.soc_name.c_str(), p.tam_width, power.c_str(),
+                  series.w_time, p.error.c_str());
     }
-  }
-  std::printf("sweep finished in %.1f ms (%d infeasible of %zu cases)\n",
-              result.total_wall_ms, failures, result.rows.size());
+  });
+  std::printf("sweep finished in %.1f ms (%d infeasible of %d cases)\n",
+              result.total_wall_ms, failures, cases);
   if (!result.replanned_from.empty()) {
     std::printf("replan: baseline %s, %d results spliced, %d dirty "
                 "partitions\n",
@@ -450,7 +459,7 @@ int report_sweep(const msoc::plan::SweepResult& result) {
                 result.cache_records,
                 corrupt_tag(result.cache_corrupt_files).c_str());
   }
-  if (failures == static_cast<int>(result.rows.size())) {
+  if (failures == cases) {
     std::fprintf(stderr, "error: every sweep case was infeasible\n");
     return 1;
   }
@@ -458,26 +467,27 @@ int report_sweep(const msoc::plan::SweepResult& result) {
 }
 
 void report_plan(const Options& options, const msoc::soc::Soc& soc,
-                 const msoc::plan::SweepRow& row) {
-  const std::string power = power_tag(row.max_power, "; max power %g");
+                 const msoc::plan::FrontierResult& series) {
+  const msoc::plan::FrontierPoint& p = series.points.front();
+  const std::string power = power_tag(p.max_power, "; max power %g");
   char window_note[64] = "";
-  if (row.window_cycles > 0) {
+  if (p.window_cycles > 0) {
     std::snprintf(window_note, sizeof window_note, "; window %g/%llu cycles",
-                  row.window_limit,
-                  static_cast<unsigned long long>(row.window_cycles));
+                  p.window_limit,
+                  static_cast<unsigned long long>(p.window_cycles));
   }
   std::printf("SOC %s: %zu digital, %zu analog cores; TAM width %d%s%s; "
               "w_T=%.2f w_A=%.2f; %s; jobs %lld\n",
               soc.name().c_str(), soc.digital_count(), soc.analog_count(),
-              row.tam_width, power.c_str(), window_note, row.w_time,
-              1.0 - row.w_time, algorithm_name(options.request),
+              p.tam_width, power.c_str(), window_note, series.w_time,
+              1.0 - series.w_time, algorithm_name(options.request),
               static_cast<long long>(options.request.jobs.value_or(1)));
-  std::printf("\nplan: %s\n", row.best_label.c_str());
-  std::printf("  C = %.2f  (C_time = %.2f, C_A = %.2f)\n", row.best_total,
-              row.c_time, row.c_area);
+  std::printf("\nplan: %s\n", p.best.label.c_str());
+  std::printf("  C = %.2f  (C_time = %.2f, C_A = %.2f)\n", p.best.total,
+              p.best.c_time, p.best.c_area);
   std::printf("  test time %llu cycles; %d of %d combinations evaluated\n",
-              static_cast<unsigned long long>(row.test_time),
-              row.evaluations, row.total_combinations);
+              static_cast<unsigned long long>(p.best.test_time),
+              p.evaluations, p.total_combinations);
 }
 
 int run_in_process(const Options& options) {
@@ -510,7 +520,7 @@ int run_in_process(const Options& options) {
   } else if (request.op == PlanOp::kSweep) {
     status = report_sweep(*outcome.sweep);
   } else {
-    report_plan(options, socs.front(), outcome.sweep->rows.front());
+    report_plan(options, socs.front(), outcome.sweep->series.front());
   }
   if (options.json_file) {
     write_file(*options.json_file, outcome.document, "JSON");
