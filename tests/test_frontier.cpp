@@ -13,6 +13,7 @@
 #include "msoc/plan/optimizer.hpp"
 #include "msoc/soc/benchmarks.hpp"
 #include "msoc/soc/digest.hpp"
+#include "msoc/tam/counters.hpp"
 #include "powered_fixtures.hpp"
 
 namespace msoc::plan {
@@ -143,6 +144,27 @@ TEST(Frontier, JobsDoNotChangeResultsOrCounts) {
     EXPECT_EQ(a.points[i].evaluations, b.points[i].evaluations);
     EXPECT_EQ(a.points[i].pruned, b.points[i].pruned);
   }
+}
+
+TEST(Frontier, JobsDoNotChangePackCounters) {
+  // Every pack's counts reach the process-wide totals however many
+  // threads ran the packs: a cold frontier sums to the same four totals
+  // at jobs 1 and 4.
+  const soc::Soc soc = soc::make_d695m();
+  FrontierOptions parallel = d695m_options();
+  parallel.jobs = 4;
+  tam::reset_pack_counters();
+  ASSERT_FALSE(FrontierEngine(soc, d695m_options()).run().points.empty());
+  const tam::PackCounterSnapshot serial = tam::snapshot_pack_counters();
+  tam::reset_pack_counters();
+  ASSERT_FALSE(FrontierEngine(soc, parallel).run().points.empty());
+  const tam::PackCounterSnapshot threaded = tam::snapshot_pack_counters();
+  EXPECT_GT(serial.admission_checks, 0u);
+  EXPECT_GT(serial.reservations, 0u);
+  EXPECT_EQ(serial.admission_checks, threaded.admission_checks);
+  EXPECT_EQ(serial.events_visited, threaded.events_visited);
+  EXPECT_EQ(serial.retries, threaded.retries);
+  EXPECT_EQ(serial.reservations, threaded.reservations);
 }
 
 TEST(Frontier, WidthBelowAnalogMinimumRecordedNotFatal) {

@@ -9,6 +9,11 @@
 // The recording is tests/data/p93791m_schedule_pins.txt.  On a
 // mismatch the fresh rendering is written next to the test binary as
 // p93791m_schedule_pins.actual.txt, so `diff` shows which tests moved.
+//
+// The same packs also pin the packer's deterministic counters
+// (admission checks, skyline segments visited, retries, reservations)
+// in tests/data/p93791m_counter_pins.txt: a change to how probes are
+// run or counted, not only to where tests land, shows up here.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +23,7 @@
 
 #include "msoc/soc/benchmarks.hpp"
 #include "msoc/soc/soc.hpp"
+#include "msoc/tam/counters.hpp"
 #include "msoc/tam/packing.hpp"
 #include "msoc/tam/schedule.hpp"
 
@@ -57,47 +63,71 @@ void render(std::ostream& out, const std::string& label,
   }
 }
 
-std::string render_all() {
+/// The pinned packs' schedules and, one line per pack, their counters.
+struct Rendering {
+  std::string schedules;
+  std::string counters;
+};
+
+Rendering render_all() {
   const soc::Soc plain = soc::make_p93791m();
   const soc::Soc powered = powered_p93791m();
-  std::ostringstream out;
+  std::ostringstream schedules;
+  std::ostringstream counters;
+  const auto pack = [&](const std::string& label, const soc::Soc& soc,
+                        int width, const AnalogPartition& partition,
+                        const PackingOptions& options) {
+    reset_pack_counters();
+    render(schedules, label, schedule_soc(soc, width, partition, options));
+    const PackCounterSnapshot c = snapshot_pack_counters();
+    counters << label << " checks " << c.admission_checks << " events "
+             << c.events_visited << " retries " << c.retries
+             << " reservations " << c.reservations << '\n';
+  };
   for (const int width : {16, 32, 64}) {
     for (const bool share : {false, true}) {
       const AnalogPartition partition =
           share ? all_share_partition(plain) : singleton_partition(plain);
       const std::string suffix = " width " + std::to_string(width) +
                                  (share ? " all-share" : " singleton");
-      render(out, "unconstrained" + suffix,
-             schedule_soc(plain, width, partition));
-      render(out, "peak" + suffix, schedule_soc(powered, width, partition));
+      pack("unconstrained" + suffix, plain, width, partition, {});
+      pack("peak" + suffix, powered, width, partition, {});
       // Sustained budget alone: peak off, every 20000-cycle window
       // averaging at most 1.5x the hottest single test.
       PackingOptions windowed;
       windowed.max_power = 0.0;
       windowed.window_cycles = 20000;
       windowed.window_limit = 1.5 * powered.peak_test_power();
-      render(out, "window" + suffix,
-             schedule_soc(powered, width, partition, windowed));
+      pack("window" + suffix, powered, width, partition, windowed);
     }
   }
-  return out.str();
+  return {schedules.str(), counters.str()};
 }
 
-TEST(SchedulePins, P93791mSchedulesMatchTheRecording) {
-  const std::string path =
-      std::string(MSOC_TEST_DATA_DIR) + "/p93791m_schedule_pins.txt";
+/// Compares `fresh` with the recording `name` under tests/data, writing
+/// `actual` next to the test binary on a mismatch.
+void expect_recording(const std::string& name, const std::string& actual,
+                      const std::string& fresh) {
+  const std::string path = std::string(MSOC_TEST_DATA_DIR) + "/" + name;
   std::ifstream in(path);
   ASSERT_TRUE(in) << "missing recording " << path;
   std::stringstream recorded;
   recorded << in.rdbuf();
-
-  const std::string fresh = render_all();
-  if (fresh != recorded.str()) {
-    std::ofstream("p93791m_schedule_pins.actual.txt") << fresh;
-  }
+  if (fresh != recorded.str()) std::ofstream(actual) << fresh;
   ASSERT_EQ(fresh, recorded.str())
-      << "schedules moved; diff " << path
-      << " p93791m_schedule_pins.actual.txt";
+      << "pins moved; diff " << path << " " << actual;
+}
+
+TEST(SchedulePins, P93791mSchedulesMatchTheRecording) {
+  expect_recording("p93791m_schedule_pins.txt",
+                   "p93791m_schedule_pins.actual.txt",
+                   render_all().schedules);
+}
+
+TEST(SchedulePins, P93791mCountersMatchTheRecording) {
+  expect_recording("p93791m_counter_pins.txt",
+                   "p93791m_counter_pins.actual.txt",
+                   render_all().counters);
 }
 
 }  // namespace
