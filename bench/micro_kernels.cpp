@@ -11,11 +11,10 @@
 #include "msoc/dsp/multitone.hpp"
 #include "msoc/mswrap/partition.hpp"
 #include "msoc/soc/benchmarks.hpp"
-#include "msoc/tam/counters.hpp"
 #include "msoc/tam/interval_set.hpp"
+#include "msoc/tam/level_profile.hpp"
 #include "msoc/tam/packing.hpp"
 #include "msoc/tam/skyline.hpp"
-#include "msoc/tam/usage_profile.hpp"
 #include "msoc/wrapper/wrapper_design.hpp"
 
 namespace {
@@ -125,36 +124,35 @@ void BM_SkylineAdd(benchmark::State& state) {
 BENCHMARK(BM_SkylineAdd)->RangeMultiplier(4)->Range(64, 4096)
     ->Complexity(benchmark::oNLogN);
 
-// The packer's admission probe against a populated profile, reported
-// with the deterministic per-op counter (skyline events per check) so
-// the number CI gates on is visible right next to the wall time.
-void BM_UsageWindowFree(benchmark::State& state) {
+// The packer's wire admission probe against a populated profile,
+// reported with the deterministic per-op counter (skyline events per
+// check) so the number CI gates on is visible right next to the wall
+// time.
+void BM_WireWindowFree(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
-  constexpr int kCapacity = 32;
+  constexpr long long kCapacity = 32;
   Rng rng(static_cast<std::uint64_t>(n) + 3);
-  tam::UsageProfile profile(kCapacity);
+  tam::LevelProfile<long long> profile(kCapacity);
   for (int i = 0; i < n; ++i) {
     profile.reserve(rng.uniform_u64(0, static_cast<Cycles>(n) * 10),
                     rng.uniform_u64(10, 200), rng.uniform_int(1, 12));
   }
-  const tam::IntervalSet no_blocks;
-  tam::reset_pack_counters();
+  std::uint64_t visited = 0;
   Cycles probe = 0;
   for (auto _ : state) {
     Cycles retry = 0;
     benchmark::DoNotOptimize(
-        profile.window_free(probe, 8, 64, no_blocks, &retry));
+        profile.window_free(probe, 8, 64, &retry, &visited));
     probe = (probe + 131) % (static_cast<Cycles>(n) * 10);
   }
-  const tam::PackCounterSnapshot snap = tam::snapshot_pack_counters();
   state.counters["events_per_check"] = benchmark::Counter(
-      snap.admission_checks == 0
+      state.iterations() == 0
           ? 0.0
-          : static_cast<double>(snap.events_visited) /
-                static_cast<double>(snap.admission_checks));
+          : static_cast<double>(visited) /
+                static_cast<double>(state.iterations()));
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_UsageWindowFree)->RangeMultiplier(4)->Range(64, 4096)
+BENCHMARK(BM_WireWindowFree)->RangeMultiplier(4)->Range(64, 4096)
     ->Complexity(benchmark::oLogN);
 
 void BM_SchedulePack(benchmark::State& state) {

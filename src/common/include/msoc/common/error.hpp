@@ -26,7 +26,9 @@ class ParseError : public Error {
 
   /// Name of the input (file path or buffer label) that failed to parse.
   [[nodiscard]] const std::string& file() const noexcept { return file_; }
-  /// 1-based line number of the offending token, 0 when unknown.
+  /// 1-based line number of the offending token, 0 when unknown.  A
+  /// module whose data fails validation once complete names the line
+  /// of its own header.
   [[nodiscard]] int line() const noexcept { return line_; }
 
  private:

@@ -118,13 +118,12 @@ void write_inventory(std::ostringstream& os,
   os << "}";
 }
 
-/// The journal payload of one recorded entry (op: "entry").
-std::string entry_payload(const std::string& digest,
-                          const ResultCache::EntryKey& key,
-                          const std::string& label, Cycles test_time) {
-  std::ostringstream os;
-  os << "{\"op\": \"entry\", \"digest\": \"" << json_escape(digest)
-     << "\", \"width\": " << key.tam_width << ", ";
+/// One entry's fields, "width" through "test_time", as both the journal
+/// and the snapshot write them.
+void write_entry_fields(std::ostringstream& os,
+                        const ResultCache::EntryKey& key,
+                        const std::string& label, Cycles test_time) {
+  os << "\"width\": " << key.tam_width << ", ";
   if (key.max_power > 0.0) {
     os << "\"max_power\": " << round_trip_double(key.max_power) << ", ";
   }
@@ -136,7 +135,18 @@ std::string entry_payload(const std::string& digest,
   os << "\"packing\": \"" << json_escape(key.fingerprint)
      << "\", \"partition\": \"" << json_escape(key.partition)
      << "\", \"label\": \"" << json_escape(label)
-     << "\", \"test_time\": " << test_time << "}";
+     << "\", \"test_time\": " << test_time;
+}
+
+/// The journal payload of one recorded entry (op: "entry").
+std::string entry_payload(const std::string& digest,
+                          const ResultCache::EntryKey& key,
+                          const std::string& label, Cycles test_time) {
+  std::ostringstream os;
+  os << "{\"op\": \"entry\", \"digest\": \"" << json_escape(digest)
+     << "\", ";
+  write_entry_fields(os, key, label, test_time);
+  os << "}";
   return os.str();
 }
 
@@ -778,19 +788,9 @@ std::string ResultCache::serialize_store_locked(const std::string& digest,
   for (const auto& [key, entry] : store.snapshot) {
     os << (first ? "\n" : ",\n");
     first = false;
-    os << "    {\"width\": " << key.tam_width << ", ";
-    if (key.max_power > 0.0) {
-      os << "\"max_power\": " << round_trip_double(key.max_power) << ", ";
-    }
-    if (key.window_cycles > 0) {
-      os << "\"window_cycles\": " << key.window_cycles
-         << ", \"window_limit\": " << round_trip_double(key.window_limit)
-         << ", ";
-    }
-    os << "\"packing\": \"" << json_escape(key.fingerprint) << "\", "
-       << "\"partition\": \"" << json_escape(key.partition)
-       << "\", \"label\": \"" << json_escape(entry.label) << "\", "
-       << "\"test_time\": " << entry.test_time << "}";
+    os << "    {";
+    write_entry_fields(os, key, entry.label, entry.test_time);
+    os << "}";
   }
   os << "\n  ]\n}\n";
   return os.str();

@@ -80,6 +80,7 @@ class Parser {
       have_power_window_ = true;
     } else if (key == "module") {
       finish_pending(soc);
+      module_line_ = line_;
       if (tok.size() < 2) fail("Module needs an id");
       digital_ = DigitalCore{};
       digital_->id = static_cast<int>(expect_int(tok[1], "module id"));
@@ -88,6 +89,7 @@ class Parser {
       in_digital_ = true;
     } else if (key == "analogmodule") {
       finish_pending(soc);
+      module_line_ = line_;
       if (tok.size() < 2) fail("AnalogModule needs a name");
       analog_ = AnalogCore{};
       analog_->name = std::string(tok[1]);
@@ -172,12 +174,15 @@ class Parser {
     analog_->tests.push_back(std::move(t));
   }
 
+  /// Adds the pending module, which validates it.  Validation runs only
+  /// once the module is complete (at the next module header or at EOF),
+  /// so its errors name the module's own header line.
   void finish_pending(Soc& soc) {
     try {
       if (digital_) soc.add_digital(std::move(*digital_));
       if (analog_) soc.add_analog(std::move(*analog_));
     } catch (const Error& e) {
-      fail(e.what());
+      throw ParseError(source_, module_line_, e.what());
     }
     digital_.reset();
     analog_.reset();
@@ -186,6 +191,7 @@ class Parser {
   std::istream& in_;
   std::string source_;
   int line_ = 0;
+  int module_line_ = 0;  ///< Header line of the pending module.
   bool in_digital_ = false;
   bool have_max_power_ = false;
   bool have_power_window_ = false;

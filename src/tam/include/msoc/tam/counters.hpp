@@ -7,33 +7,29 @@
 // They are: admission checks and reservations are decided by the
 // deterministic packing algorithm, and events_visited counts skyline
 // segments walked, which is a pure function of the same decisions.
-// Totals are accumulated with relaxed atomics so parallel plan
+//
+// The kernels do not count.  Each tam::Timeline (one pack, or one repair
+// round) sums its own probes into a plain snapshot and adds it to the
+// process-wide totals once, when it is destroyed, so parallel plan
 // evaluation (which runs the same set of packs regardless of job count)
-// produces the same sums on any thread ladder.
+// produces the same sums on any thread ladder.  Read the totals between
+// packs: a pack still running has published nothing yet.
 
-#include <atomic>
 #include <cstdint>
 
 namespace msoc::tam {
 
-/// Live counters (relaxed atomics, process-global).
-struct PackCounters {
-  std::atomic<std::uint64_t> admission_checks{0};  ///< window_free calls.
-  std::atomic<std::uint64_t> events_visited{0};    ///< skyline segments walked.
-  std::atomic<std::uint64_t> retries{0};           ///< failed admission checks.
-  std::atomic<std::uint64_t> reservations{0};      ///< profile reserve calls.
-};
-
-/// The process-global counter block.
-[[nodiscard]] PackCounters& pack_counters() noexcept;
-
-/// A plain-value copy for reporting and differencing.
+/// A plain-value counter block, for one Timeline's counts and for
+/// reporting and differencing the process-wide totals.
 struct PackCounterSnapshot {
-  std::uint64_t admission_checks = 0;
-  std::uint64_t events_visited = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t reservations = 0;
+  std::uint64_t admission_checks = 0;  ///< admission probes run.
+  std::uint64_t events_visited = 0;    ///< skyline segments walked.
+  std::uint64_t retries = 0;           ///< failed admission probes.
+  std::uint64_t reservations = 0;      ///< envelopes reserved into.
 };
+
+/// Adds `counts` to the process-wide totals (thread-safe).
+void add_pack_counters(const PackCounterSnapshot& counts) noexcept;
 
 [[nodiscard]] PackCounterSnapshot snapshot_pack_counters() noexcept;
 void reset_pack_counters() noexcept;

@@ -72,8 +72,8 @@ struct PackingOptions {
   ///     0           — unconstrained, even if the SOC declares a budget;
   ///   > 0           — explicit budget in the SOC's power units.
   /// Under a finite budget the packer admits a placement only when the
-  /// power sum of everything running stays within it (PowerProfile),
-  /// exactly as wire usage must stay within tam_width.
+  /// power sum of everything running stays within it, exactly as wire
+  /// usage must stay within tam_width (both are LevelProfiles).
   double max_power = -1.0;
   /// Sliding-window average-power budget (WindowedPowerProfile): every
   /// window of `window_cycles` cycles must average at most

@@ -13,7 +13,7 @@
 // window actually crosses.  Levels are maintained incrementally on
 // insert, so for integer loads they are bit-identical to the delta-map
 // prefix sums; for floating-point loads they differ by at most the usual
-// reassociation ulps, which the profiles' slack already absorbs.
+// reassociation ulps, which budget_slack() below absorbs.
 
 #include <cstddef>
 #include <map>
@@ -22,6 +22,14 @@
 #include "msoc/common/units.hpp"
 
 namespace msoc::tam {
+
+/// Tolerance a floating-point `budget` carries: accumulating loads
+/// leaves residue on the order of 1 ulp per event, and this slack keeps
+/// a fully drained envelope from rejecting a load that exactly equals
+/// the budget.  The packer's kernels and check_schedule share it.
+[[nodiscard]] inline double budget_slack(double budget) noexcept {
+  return 1e-9 * (budget < 1.0 ? 1.0 : budget);
+}
 
 template <typename Load>
 class Skyline {

@@ -1,6 +1,7 @@
 #pragma once
 // Sliding-window average-power profile for the rectangle packer: the
-// sustained-power companion to PowerProfile's instantaneous peak.  The
+// sustained-power companion to the instantaneous peak budget (a
+// LevelProfile<double>, see level_profile.hpp).  The
 // constraint is thermal — every window of W cycles must average at most
 // L power units, i.e. the load integral over any [w, w+W) may not
 // exceed L*W.
@@ -15,10 +16,12 @@
 // wholly before or after the candidate are already satisfied by the
 // profile's invariant and are never visited.
 //
-// Same retry-time contract as the other profiles: on failure report a
+// Same retry-time contract as LevelProfile: on failure report a
 // strictly later start worth probing (the next load breakpoint, or one
 // window past the drain once the timeline is clear), so the packer's
-// fixpoint always advances.
+// fixpoint always advances.  Like LevelProfile it does not count
+// itself: the probe adds the segments it walked to the caller's
+// *visited.
 
 #include <algorithm>
 #include <cstdint>
@@ -26,7 +29,6 @@
 
 #include "msoc/common/error.hpp"
 #include "msoc/common/units.hpp"
-#include "msoc/tam/counters.hpp"
 #include "msoc/tam/skyline.hpp"
 
 namespace msoc::tam {
@@ -39,9 +41,9 @@ class WindowedPowerProfile {
       : window_(window),
         limit_(limit),
         budget_(limit * static_cast<double>(window)),
-        // Sized like PowerProfile's slack, on the integral scale: the
-        // prefix sums accumulate ~1 ulp of residue per segment.
-        slack_(1e-9 * (budget_ < 1.0 ? 1.0 : budget_)) {
+        // On the integral scale: the prefix sums accumulate ~1 ulp of
+        // residue per segment.
+        slack_(budget_slack(budget_)) {
     check_invariant(window > 0 && limit > 0.0,
                     "power window needs a positive length and limit");
   }
@@ -57,38 +59,11 @@ class WindowedPowerProfile {
 
   /// True when every window overlapping [start, start+duration) stays
   /// within budget with a `power` load added over that span.  On
-  /// failure *retry_at is a strictly later start worth probing.
+  /// failure *retry_at is a strictly later start worth probing.  Adds
+  /// the segments walked to *visited.
   [[nodiscard]] bool window_free(Cycles start, double power, Cycles duration,
-                                 Cycles* retry_at) const {
-    std::uint64_t visited = 0;
-    const bool free =
-        window_free_impl(start, power, duration, retry_at, &visited);
-    PackCounters& counters = pack_counters();
-    counters.admission_checks.fetch_add(1, std::memory_order_relaxed);
-    counters.events_visited.fetch_add(visited, std::memory_order_relaxed);
-    if (!free) counters.retries.fetch_add(1, std::memory_order_relaxed);
-    return free;
-  }
-
-  void reserve(Cycles start, Cycles duration, double power) {
-    load_.add(start, start + duration, power);
-    drain_end_ = std::max(drain_end_, start + duration);
-    pack_counters().reservations.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] Cycles window() const noexcept { return window_; }
-  [[nodiscard]] double limit() const noexcept { return limit_; }
-
-  /// The underlying envelope (tests and benches introspect it).
-  [[nodiscard]] const Skyline<double>& skyline() const noexcept {
-    return load_;
-  }
-
- private:
-  using const_iterator = Skyline<double>::const_iterator;
-
-  bool window_free_impl(Cycles start, double power, Cycles duration,
-                        Cycles* retry_at, std::uint64_t* visited) const {
+                                 Cycles* retry_at,
+                                 std::uint64_t* visited) const {
     const Cycles lo = start >= window_ ? start - window_ : 0;
     const Cycles end = start + duration;  // exclusive window-start bound
     const Cycles span_end = end + window_;
@@ -155,6 +130,22 @@ class WindowedPowerProfile {
     }
     return true;
   }
+
+  void reserve(Cycles start, Cycles duration, double power) {
+    load_.add(start, start + duration, power);
+    drain_end_ = std::max(drain_end_, start + duration);
+  }
+
+  [[nodiscard]] Cycles window() const noexcept { return window_; }
+  [[nodiscard]] double limit() const noexcept { return limit_; }
+
+  /// The underlying envelope (tests and benches introspect it).
+  [[nodiscard]] const Skyline<double>& skyline() const noexcept {
+    return load_;
+  }
+
+ private:
+  using const_iterator = Skyline<double>::const_iterator;
 
   /// Strictly-later retry start: the next load breakpoint after
   /// `start`, or — once past every breakpoint — one full window past

@@ -1,28 +1,35 @@
 #include "msoc/tam/counters.hpp"
 
+#include <mutex>
+
 namespace msoc::tam {
 
-PackCounters& pack_counters() noexcept {
-  static PackCounters counters;
-  return counters;
+namespace {
+
+// Each Timeline publishes once, so the mutex costs one lock per pack and
+// keeps a snapshot's four totals consistent with each other.  Both are
+// constant-initialized, so no static initialization order applies.
+std::mutex totals_mutex;
+PackCounterSnapshot totals;
+
+}  // namespace
+
+void add_pack_counters(const PackCounterSnapshot& counts) noexcept {
+  const std::lock_guard<std::mutex> lock(totals_mutex);
+  totals.admission_checks += counts.admission_checks;
+  totals.events_visited += counts.events_visited;
+  totals.retries += counts.retries;
+  totals.reservations += counts.reservations;
 }
 
 PackCounterSnapshot snapshot_pack_counters() noexcept {
-  const PackCounters& c = pack_counters();
-  PackCounterSnapshot s;
-  s.admission_checks = c.admission_checks.load(std::memory_order_relaxed);
-  s.events_visited = c.events_visited.load(std::memory_order_relaxed);
-  s.retries = c.retries.load(std::memory_order_relaxed);
-  s.reservations = c.reservations.load(std::memory_order_relaxed);
-  return s;
+  const std::lock_guard<std::mutex> lock(totals_mutex);
+  return totals;
 }
 
 void reset_pack_counters() noexcept {
-  PackCounters& c = pack_counters();
-  c.admission_checks.store(0, std::memory_order_relaxed);
-  c.events_visited.store(0, std::memory_order_relaxed);
-  c.retries.store(0, std::memory_order_relaxed);
-  c.reservations.store(0, std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(totals_mutex);
+  totals = PackCounterSnapshot{};
 }
 
 }  // namespace msoc::tam

@@ -115,11 +115,10 @@ std::vector<ScheduleViolation> check_schedule(const Schedule& schedule) {
   }
 
   // Instantaneous power against the schedule's budget.  The tolerance
-  // matches PowerProfile's: floating-point accumulation leaves ulp-sized
-  // residue that must not read as a violation.
+  // is the packer's budget_slack: floating-point accumulation leaves
+  // ulp-sized residue that must not read as a violation.
   if (schedule.max_power > 0.0) {
-    const double slack =
-        1e-9 * (schedule.max_power < 1.0 ? 1.0 : schedule.max_power);
+    const double slack = budget_slack(schedule.max_power);
     Skyline<double> load;
     for (const ScheduledTest& t : schedule.tests) {
       if (t.duration > 0 && t.power != 0.0) load.add(t.start, t.end(), t.power);
@@ -136,12 +135,12 @@ std::vector<ScheduleViolation> check_schedule(const Schedule& schedule) {
   }
 
   // Sliding-window average power against the schedule's window budget.
-  // Tolerance on the integral scale (budget = limit * window), matching
-  // WindowedPowerProfile's slack.
+  // Tolerance: budget_slack on the integral scale (budget = limit *
+  // window), as in WindowedPowerProfile.
   if (schedule.window_cycles > 0 && schedule.window_limit > 0.0) {
     const double budget = schedule.window_limit *
                           static_cast<double>(schedule.window_cycles);
-    const double slack = 1e-9 * (budget < 1.0 ? 1.0 : budget);
+    const double slack = budget_slack(budget);
     Skyline<double> load;
     for (const ScheduledTest& t : schedule.tests) {
       if (t.duration > 0 && t.power != 0.0) load.add(t.start, t.end(), t.power);

@@ -3,23 +3,27 @@
 #include <algorithm>
 
 #include "msoc/common/error.hpp"
-#include "msoc/tam/counters.hpp"
 
 namespace msoc::tam {
 
 Timeline::Timeline(int capacity, double max_power, soc::PowerWindow window)
-    : usage_(capacity),
+    : wires_(capacity),
       watermark_(static_cast<std::size_t>(capacity) + 1, 0),
       stale_(static_cast<std::size_t>(capacity) + 1, 0) {
-  if (max_power > 0.0) power_.emplace(max_power);
+  if (max_power > 0.0) power_.emplace(max_power, budget_slack(max_power));
   if (window.active()) window_.emplace(window.cycles, window.limit);
 }
 
+Timeline::~Timeline() { add_pack_counters(counts_); }
+
 void Timeline::reserve(Cycles start, Cycles duration, int width,
                        double power) {
-  usage_.reserve(start, duration, width);
+  wires_.reserve(start, duration, width);
   if (power_.has_value()) power_->reserve(start, duration, power);
   if (window_.has_value()) window_->reserve(start, duration, power);
+  // One reservation per active envelope.
+  counts_.reservations +=
+      1 + (power_.has_value() ? 1 : 0) + (window_.has_value() ? 1 : 0);
   // Only the watermarks inside [start, start+duration) saw their level
   // rise.  Marks ascend with width (see refresh_watermark), so they are
   // one contiguous run.
@@ -34,24 +38,26 @@ void Timeline::reserve(Cycles start, Cycles duration, int width,
 Cycles Timeline::earliest_feasible(int width, double power, Cycles duration,
                                    const IntervalSet& blocked,
                                    Cycles not_before) {
-  Cycles candidate = usage_.earliest_start(
-      width, duration, std::max(not_before, watermark(width)), blocked);
-  // Alternate the power envelopes' retry times with the wire probe to a
-  // fixpoint: every retry strictly advances, and past the horizon every
-  // envelope is empty.
+  // Probe the blocked windows, the wires and each power envelope in
+  // turn; the first that fails supplies the next candidate.  Every
+  // retry strictly advances, and past the horizon every envelope is
+  // empty, so the fixpoint terminates.
+  Cycles candidate = std::max(not_before, watermark(width));
   while (true) {
-    Cycles retry = 0;
-    if (power_.has_value() &&
-        !power_->window_free(candidate, power, duration, &retry)) {
-      check_invariant(retry > candidate, "power packer failed to advance");
-    } else if (window_.has_value() &&
-               !window_->window_free(candidate, power, duration, &retry)) {
-      check_invariant(retry > candidate,
-                      "windowed power packer failed to advance");
-    } else {
+    Cycles retry = blocked.first_fit(candidate, duration);
+    if (retry != candidate) {
+      ++counts_.admission_checks;
+      ++counts_.retries;
+    } else if (probe(wires_, candidate, static_cast<long long>(width),
+                     duration, &retry) &&
+               (!power_.has_value() ||
+                probe(*power_, candidate, power, duration, &retry)) &&
+               (!window_.has_value() ||
+                probe(*window_, candidate, power, duration, &retry))) {
       return candidate;
     }
-    candidate = usage_.earliest_start(width, duration, retry, blocked);
+    check_invariant(retry > candidate, "packer failed to advance");
+    candidate = retry;
   }
 }
 
@@ -60,8 +66,8 @@ Cycles Timeline::refresh_watermark(std::size_t index) {
   stale_[index] = 0;
 
   // Resume from the previous mark: levels before it only rose since.
-  const Skyline<long long>& levels = usage_.skyline();
-  const long long room = usage_.capacity() - static_cast<long long>(index);
+  const Skyline<long long>& levels = wires_.skyline();
+  const long long room = wires_.capacity() - static_cast<long long>(index);
   auto it = levels.floor(mark);
   std::uint64_t visited = 1;
   if (it != levels.end() && it->second > room) {
@@ -81,8 +87,7 @@ Cycles Timeline::refresh_watermark(std::size_t index) {
       stale_[w] = 1;
     }
   }
-  pack_counters().events_visited.fetch_add(visited,
-                                           std::memory_order_relaxed);
+  counts_.events_visited += visited;
   return mark;
 }
 

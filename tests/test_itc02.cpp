@@ -92,10 +92,52 @@ TEST(Itc02Parse, RejectsUnknownTestAttribute) {
       ParseError);
 }
 
+/// The ParseError parsing `text` raises (a test failure when none is).
+ParseError parse_error(const std::string& text) {
+  try {
+    (void)parse_soc_string(text, "d.soc");
+  } catch (const ParseError& e) {
+    return e;
+  }
+  ADD_FAILURE() << "expected ParseError";
+  return ParseError("d.soc", -1, "none");
+}
+
 TEST(Itc02Parse, RejectsInvalidCoreData) {
-  // Validation errors surface as ParseError with the offending line.
-  EXPECT_THROW(parse_soc_string("Module 1 m\nInputs -2\nPatterns 1\n"),
-               ParseError);
+  // A module is validated once complete — at the next module header or
+  // at EOF — and the ParseError names the failing module's header line.
+  const std::string digital = "SocName x\nModule 1 m\nInputs -2\n"
+                              "Outputs 1\nPatterns 1\n";
+  const std::string analog =
+      "SocName x\nAnalogModule A\n"
+      "  Test G FLow 0 FHigh 0 FSample 10000 Cycles 50 Width 1 Resolution 8\n"
+      "  Test DC FLow 0 FHigh 0 FSample 10000 Cycles 0 Width 1 Resolution 8\n";
+  const std::string next_digital = "Module 2 n\nPatterns 1\n";
+  const std::string next_analog =
+      "AnalogModule B\n"
+      "  Test G FLow 0 FHigh 0 FSample 10000 Cycles 50 Width 1 Resolution 8\n";
+
+  for (const std::string& text : {digital, digital + next_digital,
+                                  digital + next_analog}) {
+    const ParseError e = parse_error(text);
+    EXPECT_EQ(e.line(), 2) << text;
+    EXPECT_NE(std::string(e.what()).find("I/O counts must be non-negative"),
+              std::string::npos)
+        << e.what();
+  }
+  for (const std::string& text : {analog, analog + next_digital,
+                                  analog + next_analog}) {
+    const ParseError e = parse_error(text);
+    EXPECT_EQ(e.line(), 2) << text;
+    EXPECT_NE(std::string(e.what()).find("test length must be positive"),
+              std::string::npos)
+        << e.what();
+  }
+  // A later module's error names its own header, not the first one's.
+  EXPECT_EQ(parse_error("SocName x\nModule 1 m\nInputs 1\nPatterns 1\n" +
+                        next_analog + "Module 3 k\nInputs -1\nPatterns 1\n")
+                .line(),
+            7);
 }
 
 TEST(Itc02Parse, RejectsZeroPatternsAtTheirLine) {

@@ -9,12 +9,14 @@
 
 #include "msoc/common/error.hpp"
 #include "msoc/soc/benchmarks.hpp"
+#include "msoc/tam/counters.hpp"
 #include "msoc/tam/interval_set.hpp"
-#include "msoc/tam/power_profile.hpp"
+#include "msoc/tam/level_profile.hpp"
+#include "msoc/tam/skyline.hpp"
+#include "msoc/tam/timeline.hpp"
 #include "msoc/tam/windowed_power.hpp"
 #include "powered_fixtures.hpp"
 #include "msoc/tam/schedule.hpp"
-#include "msoc/tam/usage_profile.hpp"
 
 namespace msoc::tam {
 namespace {
@@ -241,18 +243,17 @@ TEST(PackingMonotonicity, FallbackCanBeDisabledForAblation) {
   EXPECT_LE(schedule_soc(s, 40, anomalous).makespan(), baseline);
 }
 
-TEST(UsageProfileRetry, OutOfOrderBlockedIntervalsFindTightestRetry) {
-  // window_free must clear EVERY overlapping blocked interval, whatever
-  // their insertion order: the minimal valid retry for a window of length
-  // 10 against {[40,55), [0,20), [18,42)} starting at 5 is 55.
-  UsageProfile profile(8);
+TEST(TimelineRetry, OutOfOrderBlockedIntervalsFindTightestRetry) {
+  // The blocked step must clear EVERY overlapping blocked interval,
+  // whatever their insertion order: the earliest start for a window of
+  // length 10 against {[40,55), [0,20), [18,42)} from 5 is 55.
+  Timeline timeline(8, 0.0, {});
   IntervalSet unsorted;
   unsorted.insert(40, 55);
   unsorted.insert(0, 20);
   unsorted.insert(18, 42);
-  Cycles retry = 0;
-  EXPECT_FALSE(profile.window_free(5, 4, 10, unsorted, &retry));
-  EXPECT_EQ(retry, 55u);
+  EXPECT_EQ(unsorted.first_fit(5, 10), 55u);
+  EXPECT_EQ(timeline.earliest_feasible(4, 0.0, 10, unsorted, 5), 55u);
 
   // Same intervals inserted in sorted order must agree (the coalesced
   // union is identical).
@@ -260,58 +261,81 @@ TEST(UsageProfileRetry, OutOfOrderBlockedIntervalsFindTightestRetry) {
   sorted.insert(0, 20);
   sorted.insert(18, 42);
   sorted.insert(40, 55);
-  retry = 0;
-  EXPECT_FALSE(profile.window_free(5, 4, 10, sorted, &retry));
-  EXPECT_EQ(retry, 55u);
+  EXPECT_EQ(sorted.first_fit(5, 10), 55u);
+  EXPECT_EQ(timeline.earliest_feasible(4, 0.0, 10, sorted, 5), 55u);
 
   // A gap big enough for the window is found, not skipped: [20, 40) holds
   // a length-10 window even though a later interval starts at 40.
   IntervalSet gap;
   gap.insert(40, 55);
   gap.insert(0, 20);
-  EXPECT_EQ(profile.earliest_start(4, 10, 0, gap), 20u);
-  retry = 0;
-  EXPECT_TRUE(profile.window_free(20, 4, 10, gap, &retry));
+  EXPECT_EQ(timeline.earliest_feasible(4, 0.0, 10, gap, 0), 20u);
+  EXPECT_EQ(timeline.earliest_feasible(4, 0.0, 10, gap, 20), 20u);
 }
 
-TEST(UsageProfileRetry, CapacityAndBlockedInteract) {
-  UsageProfile profile(8);
-  profile.reserve(0, 100, 6);  // only 2 wires free until t=100
+TEST(TimelineRetry, CapacityAndBlockedInteract) {
+  Timeline timeline(8, 0.0, {});
+  timeline.reserve(0, 100, 6, 0.0);  // only 2 wires free until t=100
   // Width 4 cannot fit before 100; blocked interval [100, 120) in front.
   IntervalSet blocked;
   blocked.insert(100, 120);
-  EXPECT_EQ(profile.earliest_start(4, 10, 0, blocked), 120u);
+  EXPECT_EQ(timeline.earliest_feasible(4, 0.0, 10, blocked), 120u);
   // Without the blocked interval the capacity drop at 100 is the answer.
-  EXPECT_EQ(profile.earliest_start(4, 10, 0, {}), 100u);
+  EXPECT_EQ(timeline.earliest_feasible(4, 0.0, 10, {}), 100u);
 }
 
-// --- PowerProfile: the power companion to UsageProfile. ---
+TEST(TimelineCounters, CountedOncePerTimelineWhenItEnds) {
+  reset_pack_counters();
+  {
+    Timeline timeline(8, 100.0, soc::PowerWindow{10, 50.0});
+    timeline.reserve(0, 10, 4, 10.0);  // one reservation per envelope
+    IntervalSet blocked;
+    blocked.insert(0, 5);
+    // From 0 the blocked miss is a check and a retry that walks no
+    // segment; at 5 the wire, peak and window probes all pass.
+    EXPECT_EQ(timeline.earliest_feasible(4, 10.0, 3, blocked), 5u);
+    const PackCounterSnapshot running = snapshot_pack_counters();
+    EXPECT_EQ(running.admission_checks, 0u);  // published at the end
+    EXPECT_EQ(running.reservations, 0u);
+  }
+  const PackCounterSnapshot c = snapshot_pack_counters();
+  EXPECT_EQ(c.reservations, 3u);
+  EXPECT_EQ(c.admission_checks, 4u);
+  EXPECT_EQ(c.retries, 1u);
+  // Watermark refresh 1, wires 1, peak 1, window 2 (the span to 18
+  // crosses the level drop at 10).
+  EXPECT_EQ(c.events_visited, 5u);
+}
 
-TEST(PowerProfileRetry, WindowAndRetrySemantics) {
-  PowerProfile profile(100.0);
+// --- LevelProfile<double>: the peak power budget. ---
+
+TEST(PowerLevelRetry, WindowAndRetrySemantics) {
+  LevelProfile<double> profile(100.0, budget_slack(100.0));
   profile.reserve(0, 50, 70.0);
   profile.reserve(50, 50, 40.0);
   Cycles retry = 0;
+  std::uint64_t visited = 0;
   // 70 + 40 > 100 before t=50; from 50 only 40 is drawn.
-  EXPECT_FALSE(profile.window_free(0, 40.0, 10, &retry));
+  EXPECT_FALSE(profile.window_free(0, 40.0, 10, &retry, &visited));
   EXPECT_EQ(retry, 50u);
-  EXPECT_TRUE(profile.window_free(50, 40.0, 10, &retry));
+  EXPECT_TRUE(profile.window_free(50, 40.0, 10, &retry, &visited));
   // A window straddling the 70->40 step fails until the step.
   retry = 0;
-  EXPECT_FALSE(profile.window_free(40, 60.0, 20, &retry));
+  EXPECT_FALSE(profile.window_free(40, 60.0, 20, &retry, &visited));
   EXPECT_EQ(retry, 50u);
-  EXPECT_TRUE(profile.window_free(100, 100.0, 10, &retry));
+  EXPECT_TRUE(profile.window_free(100, 100.0, 10, &retry, &visited));
 }
 
-TEST(PowerProfileRetry, ExactBudgetLoadFitsAfterDrain) {
+TEST(PowerLevelRetry, ExactBudgetLoadFitsAfterDrain) {
   // Float residue from +/- accumulation must not block a full-budget
   // load once everything else ended.
-  PowerProfile profile(100.0);
+  LevelProfile<double> profile(100.0, budget_slack(100.0));
   for (int i = 0; i < 100; ++i) {
     profile.reserve(static_cast<Cycles>(i), 1, 0.1 + i * 0.001);
   }
   Cycles retry = 0;
-  EXPECT_TRUE(profile.window_free(200, 100.0, 10, &retry));
+  std::uint64_t visited = 0;
+  EXPECT_TRUE(profile.window_free(200, 100.0, 10, &retry, &visited));
 }
 
 // --- Power-constrained packing end to end. ---
@@ -404,24 +428,26 @@ TEST(WindowedPowerRetry, RetryAdvancesToTheNextBreakpoint) {
   WindowedPowerProfile p(10, 5.0);
   p.reserve(0, 10, 5.0);  // saturates every window touching [0, 10)
   Cycles retry = 0;
-  EXPECT_FALSE(p.window_free(3, 5.0, 5, &retry));
+  std::uint64_t visited = 0;
+  EXPECT_FALSE(p.window_free(3, 5.0, 5, &retry, &visited));
   EXPECT_EQ(retry, 10u);
   // From the breakpoint every straddling window sums to exactly the
-  // budget: admitted (within slack), like PowerProfile's exact fit.
-  EXPECT_TRUE(p.window_free(10, 5.0, 5, &retry));
+  // budget: admitted (within slack), like the peak budget's exact fit.
+  EXPECT_TRUE(p.window_free(10, 5.0, 5, &retry, &visited));
 }
 
 TEST(WindowedPowerRetry, RetryJumpsPastTheDrainWhenBreakpointsRunOut) {
   WindowedPowerProfile p(10, 5.0);
   p.reserve(0, 10, 5.0);
   Cycles retry = 0;
+  std::uint64_t visited = 0;
   // A short hot burst (admissible alone: 10*4 = 40 <= 50) fails at a
   // start past the last load breakpoint — the only remaining probe is
   // one full window past the drain, where no window mixes it with the
   // old load.
-  EXPECT_FALSE(p.window_free(11, 10.0, 4, &retry));
+  EXPECT_FALSE(p.window_free(11, 10.0, 4, &retry, &visited));
   EXPECT_EQ(retry, 20u);  // drain end (10) + window (10)
-  EXPECT_TRUE(p.window_free(20, 10.0, 4, &retry));
+  EXPECT_TRUE(p.window_free(20, 10.0, 4, &retry, &visited));
 }
 
 TEST(WindowedPowerRetry, AgreesWithABruteForceWindowScan) {
@@ -459,7 +485,8 @@ TEST(WindowedPowerRetry, AgreesWithABruteForceWindowScan) {
       worst = std::max(worst, integral);
     }
     Cycles retry = 0;
-    const bool free = p.window_free(start, power, duration, &retry);
+    std::uint64_t visited = 0;
+    const bool free = p.window_free(start, power, duration, &retry, &visited);
     EXPECT_EQ(free, worst <= kBudget + 1e-6) << "placement " << i;
     if (free) {
       p.reserve(start, duration, power);

@@ -1,17 +1,17 @@
-// Property tests pinning the skyline-backed UsageProfile/PowerProfile
-// to the historical delta-map implementations they replaced, and the
-// packer's Timeline to the plain probe-from-origin alternation over
-// those profiles.  The
-// reference classes below are verbatim ports of the pre-refactor code
-// (prefix-sum walks over a +/- delta map, fixpoint advance over an
-// unsorted blocked vector); the bit-identity claim in the refactor is
-// that the coalescing structures return the SAME fit/no-fit answer and
-// the SAME retry time on every query — which is what these tests check
-// on randomized workloads.
+// Property tests pinning the skyline-backed LevelProfile (wires and peak
+// power) to the historical delta-map implementations it replaced, and
+// the packer's Timeline to the plain probe-from-origin alternation over
+// those references.  The reference classes below are verbatim ports of
+// the pre-refactor code (prefix-sum walks over a +/- delta map,
+// fixpoint advance over an unsorted blocked vector); the bit-identity
+// claim in the refactor is that the coalescing structures return the
+// SAME fit/no-fit answer and the SAME retry time on every query — which
+// is what these tests check on randomized workloads.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <utility>
@@ -20,9 +20,9 @@
 #include "msoc/common/error.hpp"
 #include "msoc/common/rng.hpp"
 #include "msoc/tam/interval_set.hpp"
-#include "msoc/tam/power_profile.hpp"
+#include "msoc/tam/level_profile.hpp"
+#include "msoc/tam/skyline.hpp"
 #include "msoc/tam/timeline.hpp"
-#include "msoc/tam/usage_profile.hpp"
 #include "msoc/tam/windowed_power.hpp"
 
 namespace msoc::tam {
@@ -30,7 +30,7 @@ namespace {
 
 using Interval = std::pair<Cycles, Cycles>;
 
-/// The pre-refactor UsageProfile: sorted delta map, O(n) prefix-sum
+/// The pre-refactor wire profile: sorted delta map, O(n) prefix-sum
 /// admission walk, fixpoint over the raw blocked vector.
 class ReferenceUsageProfile {
  public:
@@ -93,6 +93,18 @@ class ReferenceUsageProfile {
     delta_[start + duration] -= width;
   }
 
+  /// First time whose level admits `width`, walking from t = 0.
+  [[nodiscard]] Cycles first_admitting(int width) const {
+    if (delta_.empty() || delta_.begin()->first > 0) return 0;
+    long long usage = 0;
+    for (const auto& [time, delta] : delta_) {
+      usage += delta;
+      if (usage + width <= capacity_) return time;
+    }
+    ADD_FAILURE() << "delta map never drains";
+    return 0;
+  }
+
  private:
   Cycles next_drop(std::map<Cycles, long long>::const_iterator it,
                    long long usage, int width) const {
@@ -108,7 +120,7 @@ class ReferenceUsageProfile {
   std::map<Cycles, long long> delta_;
 };
 
-/// The pre-refactor PowerProfile: same walk with double loads.
+/// The pre-refactor peak power profile: same walk with double loads.
 class ReferencePowerProfile {
  public:
   explicit ReferencePowerProfile(double budget)
@@ -160,11 +172,11 @@ class ReferencePowerProfile {
   std::map<Cycles, double> delta_;
 };
 
-TEST(ProfileEquivalence, UsageProfileMatchesDeltaMapOnRandomWorkloads) {
+TEST(ProfileEquivalence, WireLevelsMatchDeltaMapOnRandomWorkloads) {
   Rng rng(20260808);
   for (int round = 0; round < 25; ++round) {
     const int capacity = rng.uniform_int(8, 32);
-    UsageProfile skyline(capacity);
+    LevelProfile<long long> skyline(capacity);
     ReferenceUsageProfile reference(capacity);
 
     // Interleave reservations and probes so the profiles are compared
@@ -183,8 +195,9 @@ TEST(ProfileEquivalence, UsageProfileMatchesDeltaMapOnRandomWorkloads) {
       const int width = rng.uniform_int(1, capacity);
       Cycles new_retry = 0;
       Cycles old_retry = 0;
+      std::uint64_t visited = 0;
       const bool new_free =
-          skyline.window_free(start, width, duration, {}, &new_retry);
+          skyline.window_free(start, width, duration, &new_retry, &visited);
       const bool old_free =
           reference.window_free(start, width, duration, {}, &old_retry);
       ASSERT_EQ(new_free, old_free)
@@ -203,13 +216,15 @@ TEST(ProfileEquivalence, BlockedWindowsMatchTheHistoricalFixpoint) {
   Rng rng(31337);
   for (int round = 0; round < 25; ++round) {
     const int capacity = rng.uniform_int(4, 16);
-    UsageProfile skyline(capacity);
+    LevelProfile<long long> skyline(capacity);
+    Timeline timeline(capacity, 0.0, {});
     ReferenceUsageProfile reference(capacity);
     for (int i = 0; i < 15; ++i) {
       const Cycles start = rng.uniform_u64(0, 300);
       const Cycles duration = rng.uniform_u64(1, 60);
       const int width = rng.uniform_int(1, capacity);
       skyline.reserve(start, duration, width);
+      timeline.reserve(start, duration, width, 0.0);
       reference.reserve(start, duration, width);
     }
     // Blocked intervals arrive unsorted and overlapping, exactly as the
@@ -227,29 +242,36 @@ TEST(ProfileEquivalence, BlockedWindowsMatchTheHistoricalFixpoint) {
       const Cycles start = rng.uniform_u64(0, 500);
       const Cycles duration = rng.uniform_u64(1, 90);
       const int width = rng.uniform_int(1, capacity);
-      Cycles new_retry = 0;
+      // The Timeline's admission step: the blocked union's first fit,
+      // then the wire levels.
+      Cycles new_retry = merged.first_fit(start, duration);
       Cycles old_retry = 0;
+      std::uint64_t visited = 0;
       const bool new_free =
-          skyline.window_free(start, width, duration, merged, &new_retry);
+          new_retry == start &&
+          skyline.window_free(start, width, duration, &new_retry, &visited);
       const bool old_free =
           reference.window_free(start, width, duration, raw, &old_retry);
       ASSERT_EQ(new_free, old_free)
           << "round=" << round << " start=" << start << " d=" << duration;
-      if (!new_free) ASSERT_EQ(new_retry, old_retry);
-      ASSERT_EQ(skyline.earliest_start(width, duration, start, merged),
+      if (!new_free) {
+        ASSERT_EQ(new_retry, old_retry);
+      }
+      ASSERT_EQ(timeline.earliest_feasible(width, 0.0, duration, merged,
+                                           start),
                 reference.earliest_start(width, duration, start, raw));
     }
   }
 }
 
-TEST(ProfileEquivalence, PowerProfileMatchesDeltaMapOnDyadicLoads) {
+TEST(ProfileEquivalence, PowerLevelsMatchDeltaMapOnDyadicLoads) {
   // Loads that are multiples of 0.25 accumulate exactly in double, so
   // the skyline and the prefix-sum walk agree bit-for-bit — decisions
   // AND retry times.
   Rng rng(555);
   for (int round = 0; round < 25; ++round) {
     const double budget = 0.25 * rng.uniform_int(8, 64);
-    PowerProfile skyline(budget);
+    LevelProfile<double> skyline(budget, budget_slack(budget));
     ReferencePowerProfile reference(budget);
     for (int op = 0; op < 120; ++op) {
       const double power = 0.25 * rng.uniform_int(1, 32);
@@ -265,25 +287,28 @@ TEST(ProfileEquivalence, PowerProfileMatchesDeltaMapOnDyadicLoads) {
       const Cycles duration = rng.uniform_u64(1, 80);
       Cycles new_retry = 0;
       Cycles old_retry = 0;
+      std::uint64_t visited = 0;
       const bool new_free =
-          skyline.window_free(start, power, duration, &new_retry);
+          skyline.window_free(start, power, duration, &new_retry, &visited);
       const bool old_free =
           reference.window_free(start, power, duration, &old_retry);
       ASSERT_EQ(new_free, old_free)
           << "round=" << round << " start=" << start << " p=" << power;
-      if (!new_free) ASSERT_EQ(new_retry, old_retry);
+      if (!new_free) {
+        ASSERT_EQ(new_retry, old_retry);
+      }
     }
   }
 }
 
-TEST(ProfileEquivalence, PowerProfileMatchesDeltaMapOnArbitraryLoads) {
+TEST(ProfileEquivalence, PowerLevelsMatchDeltaMapOnArbitraryLoads) {
   // Arbitrary doubles: reassociation can shift levels by ulps, but the
   // slack absorbs that on both sides, so with a fixed seed the answers
   // still agree (random loads never land within an ulp of the budget).
   Rng rng(777);
   for (int round = 0; round < 15; ++round) {
     const double budget = rng.uniform(5.0, 50.0);
-    PowerProfile skyline(budget);
+    LevelProfile<double> skyline(budget, budget_slack(budget));
     ReferencePowerProfile reference(budget);
     for (int op = 0; op < 100; ++op) {
       const double power = rng.uniform(0.1, budget);
@@ -298,23 +323,26 @@ TEST(ProfileEquivalence, PowerProfileMatchesDeltaMapOnArbitraryLoads) {
       const Cycles duration = rng.uniform_u64(1, 60);
       Cycles new_retry = 0;
       Cycles old_retry = 0;
+      std::uint64_t visited = 0;
       const bool new_free =
-          skyline.window_free(start, power, duration, &new_retry);
+          skyline.window_free(start, power, duration, &new_retry, &visited);
       const bool old_free =
           reference.window_free(start, power, duration, &old_retry);
       ASSERT_EQ(new_free, old_free)
           << "round=" << round << " start=" << start << " p=" << power;
-      if (!new_free) ASSERT_EQ(new_retry, old_retry);
+      if (!new_free) {
+        ASSERT_EQ(new_retry, old_retry);
+      }
     }
   }
 }
 
-/// The packer's admission query before Timeline: the three profiles
-/// updated in lockstep, probed from `not_before` (no watermark), their
-/// retry times alternated by hand to a fixpoint.
+/// The packer's admission query before Timeline: the delta-map
+/// references updated in lockstep, probed from `not_before` (no
+/// watermark), their retry times alternated by hand to a fixpoint.
 struct ReferenceTimeline {
-  UsageProfile usage;
-  std::optional<PowerProfile> power;
+  ReferenceUsageProfile usage;
+  std::optional<ReferencePowerProfile> power;
   std::optional<WindowedPowerProfile> window;
 
   ReferenceTimeline(int capacity, double max_power, soc::PowerWindow w)
@@ -329,20 +357,20 @@ struct ReferenceTimeline {
     if (window) window->reserve(start, duration, load);
   }
 
-  [[nodiscard]] Cycles earliest_feasible(int width, double load,
-                                         Cycles duration,
-                                         const IntervalSet& blocked,
-                                         Cycles not_before) const {
+  [[nodiscard]] Cycles earliest_feasible(
+      int width, double load, Cycles duration,
+      const std::vector<Interval>& blocked, Cycles not_before) const {
     Cycles candidate =
         usage.earliest_start(width, duration, not_before, blocked);
     while (true) {
       Cycles retry = 0;
+      std::uint64_t visited = 0;
       if (power && !power->window_free(candidate, load, duration, &retry)) {
         candidate = usage.earliest_start(width, duration, retry, blocked);
         continue;
       }
-      if (window &&
-          !window->window_free(candidate, load, duration, &retry)) {
+      if (window && !window->window_free(candidate, load, duration, &retry,
+                                         &visited)) {
         candidate = usage.earliest_start(width, duration, retry, blocked);
         continue;
       }
@@ -350,17 +378,6 @@ struct ReferenceTimeline {
     }
   }
 };
-
-/// First time whose wire level admits `width`, walking from t = 0.
-Cycles brute_force_watermark(const UsageProfile& usage, int width) {
-  const long long room = usage.capacity() - width;
-  if (usage.skyline().level_at(0) <= room) return 0;
-  for (const auto& [start, level] : usage.skyline()) {
-    if (level <= room) return start;
-  }
-  ADD_FAILURE() << "skyline never drains";
-  return 0;
-}
 
 TEST(ProfileEquivalence, TimelineMatchesTheUnwatermarkedAlternation) {
   // Interleaved reserve/probe sequences under every combination of
@@ -398,20 +415,23 @@ TEST(ProfileEquivalence, TimelineMatchesTheUnwatermarkedAlternation) {
         continue;
       }
       IntervalSet blocked;
+      std::vector<Interval> raw;
       const int n = rng.uniform_int(0, 3) == 0 ? rng.uniform_int(1, 6) : 0;
       for (int i = 0; i < n; ++i) {
         const Cycles b = rng.uniform_u64(0, 500);
-        blocked.insert(b, b + rng.uniform_u64(1, 80));
+        const Cycles e = b + rng.uniform_u64(1, 80);
+        blocked.insert(b, e);
+        raw.emplace_back(b, e);
       }
       const Cycles not_before =
           rng.uniform_int(0, 1) == 0 ? 0 : rng.uniform_u64(0, 500);
       const Cycles mark = timeline.watermark(width);
-      ASSERT_EQ(mark, brute_force_watermark(reference.usage, width))
+      ASSERT_EQ(mark, reference.usage.first_admitting(width))
           << "round=" << round << " op=" << op << " w=" << width;
       const Cycles got = timeline.earliest_feasible(width, load, duration,
                                                     blocked, not_before);
       const Cycles want = reference.earliest_feasible(width, load, duration,
-                                                      blocked, not_before);
+                                                      raw, not_before);
       ASSERT_EQ(got, want) << "round=" << round << " op=" << op
                            << " w=" << width << " d=" << duration
                            << " p=" << load << " from=" << not_before;
