@@ -105,6 +105,9 @@ void BM_IntervalSetFirstFit(benchmark::State& state) {
 BENCHMARK(BM_IntervalSetFirstFit)->RangeMultiplier(4)->Range(64, 4096)
     ->Complexity(benchmark::oLogN);
 
+// Random adds into a flat sorted vector: each new boundary is a binary
+// search plus a tail memmove, so the fit is left to the library rather
+// than claimed.
 void BM_SkylineAdd(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
   Rng rng(static_cast<std::uint64_t>(n) + 2);
@@ -122,7 +125,39 @@ void BM_SkylineAdd(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_SkylineAdd)->RangeMultiplier(4)->Range(64, 4096)
-    ->Complexity(benchmark::oNLogN);
+    ->Complexity(benchmark::oAuto);
+
+// One p93791m-sized wire timeline end to end: ~40 tests, each probed
+// first-fit from cycle 0 along the retry chain, then reserved — the
+// mix of probes and adds one greedy pass of the packer makes.
+void BM_LevelProfilePack(benchmark::State& state) {
+  constexpr long long kCapacity = 32;
+  constexpr int kTests = 40;
+  Rng rng(40);
+  std::vector<std::pair<long long, Cycles>> tests;  // (wires, duration)
+  for (int i = 0; i < kTests; ++i) {
+    tests.emplace_back(rng.uniform_int(1, 16), rng.uniform_u64(1000, 200000));
+  }
+  std::uint64_t visited = 0;
+  for (auto _ : state) {
+    tam::LevelProfile<long long> wires(kCapacity);
+    for (const auto& [width, duration] : tests) {
+      Cycles start = 0;
+      Cycles retry = 0;
+      while (!wires.window_free(start, width, duration, &retry, &visited)) {
+        start = retry;
+      }
+      wires.reserve(start, duration, width);
+    }
+    benchmark::DoNotOptimize(wires.skyline().segment_count());
+  }
+  state.counters["events_per_pack"] = benchmark::Counter(
+      state.iterations() == 0
+          ? 0.0
+          : static_cast<double>(visited) /
+                static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_LevelProfilePack);
 
 // The packer's wire admission probe against a populated profile,
 // reported with the deterministic per-op counter (skyline events per

@@ -59,6 +59,16 @@ std::pair<double, Cycles> max_window_integral(const Skyline<double>& load,
   return {best, best_start};
 }
 
+/// The schedule's instantaneous power envelope, added in test order.
+Skyline<double> power_load(const std::vector<ScheduledTest>& tests) {
+  Skyline<double> load;
+  for (const ScheduledTest& t : tests) {
+    // Zero-length or powerless tests contribute nothing to the envelope.
+    if (t.duration > 0 && t.power != 0.0) load.add(t.start, t.end(), t.power);
+  }
+  return load;
+}
+
 }  // namespace
 
 Cycles Schedule::makespan() const {
@@ -82,14 +92,7 @@ double Schedule::utilization() const {
   return 1.0 - static_cast<double>(idle_area()) / static_cast<double>(total);
 }
 
-double Schedule::peak_power() const {
-  Skyline<double> load;
-  for (const ScheduledTest& t : tests) {
-    // Zero-length or powerless tests contribute nothing to the envelope.
-    if (t.duration > 0 && t.power != 0.0) load.add(t.start, t.end(), t.power);
-  }
-  return load.peak();
-}
+double Schedule::peak_power() const { return power_load(tests).peak(); }
 
 std::vector<ScheduleViolation> check_schedule(const Schedule& schedule) {
   std::vector<ScheduleViolation> violations;
@@ -114,15 +117,19 @@ std::vector<ScheduleViolation> check_schedule(const Schedule& schedule) {
     }
   }
 
+  // Both power checks read one envelope, built only when one is active.
+  const bool peak_budget = schedule.max_power > 0.0;
+  const bool window_budget =
+      schedule.window_cycles > 0 && schedule.window_limit > 0.0;
+  const Skyline<double> load = peak_budget || window_budget
+                                   ? power_load(schedule.tests)
+                                   : Skyline<double>{};
+
   // Instantaneous power against the schedule's budget.  The tolerance
   // is the packer's budget_slack: floating-point accumulation leaves
   // ulp-sized residue that must not read as a violation.
-  if (schedule.max_power > 0.0) {
+  if (peak_budget) {
     const double slack = budget_slack(schedule.max_power);
-    Skyline<double> load;
-    for (const ScheduledTest& t : schedule.tests) {
-      if (t.duration > 0 && t.power != 0.0) load.add(t.start, t.end(), t.power);
-    }
     for (const auto& [time, level] : load) {
       if (level > schedule.max_power + slack) {
         std::ostringstream os;
@@ -137,14 +144,10 @@ std::vector<ScheduleViolation> check_schedule(const Schedule& schedule) {
   // Sliding-window average power against the schedule's window budget.
   // Tolerance: budget_slack on the integral scale (budget = limit *
   // window), as in WindowedPowerProfile.
-  if (schedule.window_cycles > 0 && schedule.window_limit > 0.0) {
+  if (window_budget) {
     const double budget = schedule.window_limit *
                           static_cast<double>(schedule.window_cycles);
     const double slack = budget_slack(budget);
-    Skyline<double> load;
-    for (const ScheduledTest& t : schedule.tests) {
-      if (t.duration > 0 && t.power != 0.0) load.add(t.start, t.end(), t.power);
-    }
     const auto [integral, at] =
         max_window_integral(load, schedule.window_cycles);
     if (integral > budget + slack) {
