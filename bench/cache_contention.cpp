@@ -9,8 +9,10 @@
 //     the format's framing overhead and must not creep.
 //   * replay   — a cold cache re-opens every digest purely from the
 //     journals; replayed_records must equal what write appended.
-//   * compact  — folds the journals into v4 snapshots; records_folded
-//     and snapshots_written are exact.
+//   * compact  — folds the journals into v4 .snap snapshots (the
+//     journal's framing); records_folded and snapshots_written are
+//     exact, and a fresh cache must read every entry back from the
+//     snapshots alone (zero replayed records, zero corrupt files).
 //   * contend  — kThreads writer caches (one per thread, the
 //     multi-process pattern) hammer ONE shard through the file lock,
 //     then a cold audit proves every entry survived (all_recovered,
@@ -157,10 +159,32 @@ int main(int argc, char** argv) {
     compact_wall_ms = elapsed_ms(start);
     compactions = cache.compactions();
   }
+  bool snapshots_complete = true;
+  {
+    ResultCache cache(cache_dir);
+    for (int d = 0; d < kDigests; ++d) cache.open(digest_of(d));
+    for (int d = 0; d < kDigests && snapshots_complete; ++d) {
+      for (int i = 0; i < kEntriesPerDigest; ++i) {
+        const auto hit = cache.lookup(digest_of(d), key_of(d, i));
+        if (!hit.has_value() || *hit != value_of(d, i)) {
+          std::fprintf(stderr, "error: snapshot lost d%d i%d\n", d, i);
+          snapshots_complete = false;
+          break;
+        }
+      }
+    }
+    if (cache.replayed_records() != 0 || cache.corrupt_files() != 0) {
+      std::fprintf(stderr,
+                   "error: snapshot reload replayed %lld records, "
+                   "%d corrupt\n",
+                   cache.replayed_records(), cache.corrupt_files());
+      snapshots_complete = false;
+    }
+  }
   std::printf("  compact  %8.1f ms  %d shards, %lld records folded, "
-              "%d snapshots\n",
+              "%d snapshots, read back=%s\n",
               compact_wall_ms, stats.shards_compacted, stats.records_folded,
-              stats.snapshots_written);
+              stats.snapshots_written, snapshots_complete ? "yes" : "NO");
 
   // --- contend: one shard, one cache per thread, file-lock traffic. ---
   const char* contended = "ee00000000000005";
@@ -204,8 +228,9 @@ int main(int argc, char** argv) {
               contend_wall_ms, kThreads, kContendEntries,
               all_recovered ? "yes" : "NO", contend_corrupt);
 
-  const bool ok = replay_complete && all_recovered && replay_corrupt == 0 &&
-                  contend_corrupt == 0 && stats.shards_compacted == kDigests;
+  const bool ok = replay_complete && snapshots_complete && all_recovered &&
+                  replay_corrupt == 0 && contend_corrupt == 0 &&
+                  stats.shards_compacted == kDigests;
 
   std::ofstream out(out_path);
   if (!out) {

@@ -1,6 +1,6 @@
 #pragma once
-// Small file I/O helpers for the JSON/CSV artifacts the planner reads
-// and writes (sweep results, msoc-cache-v4 snapshots).  Reads
+// Small file I/O helpers for the artifacts the planner reads and
+// writes (JSON/CSV sweep results, msoc-cache-v4 snapshots).  Reads
 // distinguish "absent" from "unreadable"; writes are atomic
 // (temp file + rename) so a crashed or concurrent writer can never
 // leave a half-written document where a reader expects a whole one.

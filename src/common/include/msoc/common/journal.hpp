@@ -1,7 +1,8 @@
 #pragma once
 // Append-only write-ahead journal framing (the msoc-cache-v4 shard
-// journals; the format is payload-agnostic and reusable for any
-// record stream that must survive kill -9).
+// journals and, at generation 0, its snapshots; the format is
+// payload-agnostic and reusable for any record stream that must
+// survive kill -9).
 //
 // File layout:
 //

@@ -1,7 +1,7 @@
 #pragma once
 // Minimal strict JSON reader for the machine-readable documents this
-// repo produces and consumes (msoc-sweep-v1, msoc-cache-v4 snapshots
-// and journal payloads, perf trajectories).  Writers stay
+// repo produces and consumes (msoc-sweep-v1, msoc-cache-v4 record
+// payloads in journals and snapshots, perf trajectories).  Writers stay
 // hand-rolled ostream code — only reading
 // needs structure, and only reading needs to be strict: a truncated or
 // tampered cache file must fail parsing cleanly so callers can fall

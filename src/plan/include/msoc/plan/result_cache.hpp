@@ -1,8 +1,9 @@
 #pragma once
 // Persistent TAM-optimizer result cache (the msoc-cache-v4 sharded,
 // journaled store documented in docs/formats.md).  Stores written by
-// the v1-v3 single-file layout (<dir>/<digest>.json) are not read: an
-// unread store costs a recompute, never a wrong answer.
+// the v1-v3 single-file layout (<dir>/<digest>.json) and the JSON
+// snapshots of earlier v4 stores (<dir>/<pp>/<digest>.json) are not
+// read: an unread store costs a recompute, never a wrong answer.
 //
 // What is cached: schedule_soc makespans — the expensive, pure part of
 // a CombinationCost.  Everything else in Eq. 2 (C_A, C_time, the
@@ -29,8 +30,8 @@
 // replan path (plan::FrontierEngine::replan) reuses a baseline store's
 // entries after such an ECO edit even though the enclosing SOC digest
 // changed.  To support that diff without the baseline .soc file, every
-// store persists its SOC's soc::DigestInventory (journal meta records
-// and the snapshot header carry it).
+// store persists its SOC's soc::DigestInventory in its meta record, in
+// the journal and in the snapshot alike.
 //
 // On-disk layout (msoc-cache-v4):
 //   <dir>/<pp>/journal.wal   per-shard append-only WAL (pp = first two
@@ -38,17 +39,21 @@
 //                            this run's overlay as checksummed records
 //                            under an exclusive flock — O(overlay),
 //                            one fsync per dirty shard
-//   <dir>/<pp>/<digest>.json v4 snapshot,
-//                            written by compaction when the journal
-//                            crosses CacheTuning::compact_threshold_
-//                            bytes, or explicitly via compact()
+//   <dir>/<pp>/<digest>.snap v4 snapshot in the journal's framing
+//                            (generation 0, one meta record, then the
+//                            entries in EntryKey order), written by
+//                            compaction when the journal crosses
+//                            CacheTuning::compact_threshold_bytes, or
+//                            explicitly via compact()
 //
-// A store opens as snapshot ∪ journal replay (later layers win).
-// Replay tolerates torn journal tails — the artifact of a writer
-// killed mid-append — by truncating at the first bad record
-// (readers just stop there; the next appender physically truncates
-// under its exclusive lock).  Complete-but-corrupt records and
-// unusable headers count toward corrupt_files() and never abort a run.
+// One record parser (stage_record) reads both files.  A store opens as
+// snapshot ∪ journal replay (later layers win).  Replay tolerates torn
+// journal tails — the artifact of a writer killed mid-append — by
+// truncating at the first bad record (readers just stop there; the
+// next appender physically truncates under its exclusive lock).
+// Complete-but-corrupt records and unusable headers count toward
+// corrupt_files() and never abort a run.  A snapshot lands whole by
+// atomic rename, so any damage in one drops the whole file (counted).
 //
 // Read/write discipline: lookups see only the SNAPSHOT present when the
 // digest was opened; record() lands in an overlay that becomes visible
@@ -185,7 +190,7 @@ class ResultCache {
   void open(const std::string& digest, const soc::Soc& soc);
 
   /// The inventory of an opened store — from the SOC it was opened
-  /// with, from a journal meta record, or from the snapshot header;
+  /// with, or from a meta record in the journal or the snapshot;
   /// nullopt for never-opened digests and stores that carry none
   /// (those cannot seed a replan).
   [[nodiscard]] std::optional<soc::DigestInventory> inventory(
@@ -215,8 +220,8 @@ class ResultCache {
   void flush();
 
   /// Folds every shard journal under the cache directory into v4
-  /// snapshot files and resets the journals.  Files outside the shard
-  /// directories (such as v1-v3 stores) are left untouched.  Safe
+  /// snapshot files and resets the journals.  Files of older layouts
+  /// (v1-v3 stores, JSON snapshots) are left untouched.  Safe
   /// against concurrent writers (per-shard exclusive locks).  Also
   /// flushes pending overlays first.
   CompactionStats compact();
@@ -263,8 +268,9 @@ class ResultCache {
     bool meta_journaled = false;
     std::uint64_t last_used = 0;  ///< LRU stamp (monotonic use tick).
   };
-  /// Parsed journal image of one digest (shard tail staging): what a
-  /// replay of the current journal generation says about the digest.
+  /// Parsed record image of one digest: what a replay of the current
+  /// journal generation (shard tail staging) or of one snapshot file
+  /// says about the digest.
   struct Staged {
     std::string soc_name;
     std::optional<soc::DigestInventory> inventory;
@@ -288,14 +294,24 @@ class ResultCache {
 
   void open_locked(const std::string& digest, const std::string& soc_name);
   void maybe_evict_locked();
-  /// One entry object of a snapshot file or an "entry" journal
-  /// record; throws ParseError naming `path` when malformed.
+  /// The key and value of an "entry" record; throws ParseError naming
+  /// `path` when malformed.
   [[nodiscard]] static std::pair<EntryKey, Entry> parse_entry(
       const JsonValue& item, const std::string& path);
-  /// Loads one v4 snapshot file into `store` (merge, later wins);
-  /// returns false when the file was corrupt (counted).
-  bool load_snapshot_file_locked(const std::string& path,
-                                 const std::string& digest, Store& store);
+  /// The one record parser: stages one checksum-valid payload (from a
+  /// journal or a snapshot at `path`, whose shard is `shard_key`) into
+  /// `images`, keyed by digest.  Throws Error when malformed.
+  static void stage_record(std::string_view payload, const std::string& path,
+                           const std::string& shard_key,
+                           std::map<std::string, Staged>& images);
+  /// Merges one staged image into `store` (the image wins entries and
+  /// the inventory; the store keeps a non-empty soc_name).
+  static void merge_staged(const Staged& staged, Store& store);
+  /// Loads the digest's snapshot file into `store` (merge, the file
+  /// wins).  Any damage — bad header, torn or corrupt frame, malformed
+  /// payload, a record for another digest — loads nothing and counts
+  /// the file corrupt.
+  void load_snapshot_file_locked(const std::string& digest, Store& store);
   /// Forgets everything cached about one shard journal (tail staging,
   /// dedup flags, the stores' meta-journaled marks) — called when the
   /// generation changes under us or the journal is reset.
@@ -305,7 +321,7 @@ class ResultCache {
   /// record into shard.tail, and classifies/counts the tail.
   void absorb_journal_locked(const std::string& shard_key, ShardState& shard,
                              std::string_view bytes);
-  /// Parses one checksum-valid journal payload into the shard tail
+  /// Stages one checksum-valid journal payload into the shard tail
   /// (malformed payloads count as corruption and are skipped).
   void apply_payload_locked(const std::string& shard_key, ShardState& shard,
                             std::string_view payload, bool count_replayed);
@@ -325,8 +341,6 @@ class ResultCache {
   /// Merges the staged journal image for `digest` (if any) into
   /// `store` (journal wins over file-loaded content).
   void apply_staged_locked(const std::string& digest, Store& store);
-  [[nodiscard]] std::string serialize_store_locked(const std::string& digest,
-                                                   const Store& store) const;
 
   std::string directory_;
   CacheTuning tuning_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -21,7 +22,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr const char* kSchemaV4 = "msoc-cache-v4";
 constexpr const char* kJournalName = "journal.wal";
 constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
 
@@ -64,8 +64,7 @@ std::optional<std::uint64_t> parse_hex64(const std::string& text) {
   return value;
 }
 
-/// One inventory side ("digital"/"analog") of a store header or meta
-/// journal record.
+/// One inventory side ("digital"/"analog") of a meta record.
 std::vector<soc::CoreDigests> parse_inventory_cores(
     const JsonValue& array, const std::string& path) {
   std::vector<soc::CoreDigests> cores;
@@ -83,7 +82,7 @@ std::vector<soc::CoreDigests> parse_inventory_cores(
   return cores;
 }
 
-/// The "inventory" object of a store header or meta record.
+/// The "inventory" object of a meta record.
 soc::DigestInventory parse_inventory(const JsonValue& header,
                                      const std::string& path) {
   soc::DigestInventory parsed;
@@ -118,12 +117,14 @@ void write_inventory(std::ostringstream& os,
   os << "}";
 }
 
-/// One entry's fields, "width" through "test_time", as both the journal
-/// and the snapshot write them.
-void write_entry_fields(std::ostringstream& os,
-                        const ResultCache::EntryKey& key,
-                        const std::string& label, Cycles test_time) {
-  os << "\"width\": " << key.tam_width << ", ";
+/// The payload of one cache entry (op: "entry"), in journals and
+/// snapshots alike.
+std::string entry_payload(const std::string& digest,
+                          const ResultCache::EntryKey& key,
+                          const std::string& label, Cycles test_time) {
+  std::ostringstream os;
+  os << "{\"op\": \"entry\", \"digest\": \"" << json_escape(digest)
+     << "\", \"width\": " << key.tam_width << ", ";
   if (key.max_power > 0.0) {
     os << "\"max_power\": " << round_trip_double(key.max_power) << ", ";
   }
@@ -135,24 +136,13 @@ void write_entry_fields(std::ostringstream& os,
   os << "\"packing\": \"" << json_escape(key.fingerprint)
      << "\", \"partition\": \"" << json_escape(key.partition)
      << "\", \"label\": \"" << json_escape(label)
-     << "\", \"test_time\": " << test_time;
-}
-
-/// The journal payload of one recorded entry (op: "entry").
-std::string entry_payload(const std::string& digest,
-                          const ResultCache::EntryKey& key,
-                          const std::string& label, Cycles test_time) {
-  std::ostringstream os;
-  os << "{\"op\": \"entry\", \"digest\": \"" << json_escape(digest)
-     << "\", ";
-  write_entry_fields(os, key, label, test_time);
-  os << "}";
+     << "\", \"test_time\": " << test_time << "}";
   return os.str();
 }
 
-/// The journal payload of one store's identity (op: "meta") — carries
-/// the SOC name and digest inventory so a store assembled purely from
-/// journal replay can still seed a replan.
+/// The payload of one store's identity (op: "meta") — carries the SOC
+/// name and digest inventory so a store assembled purely from records
+/// can still seed a replan.
 std::string meta_payload(const std::string& digest,
                          const std::string& soc_name,
                          const std::optional<soc::DigestInventory>& inventory) {
@@ -250,7 +240,7 @@ std::string ResultCache::journal_path(const std::string& shard) const {
 }
 
 std::string ResultCache::snapshot_path(const std::string& digest) const {
-  return (fs::path(directory_) / shard_key_of(digest) / (digest + ".json"))
+  return (fs::path(directory_) / shard_key_of(digest) / (digest + ".snap"))
       .string();
 }
 
@@ -260,8 +250,12 @@ std::pair<ResultCache::EntryKey, ResultCache::Entry> ResultCache::parse_entry(
   const std::optional<Cycles> time = as_cycles(item.at("test_time"));
   // Zero-cycle makespans are impossible (every SOC tests something)
   // and a zero T_max baseline would divide costs by zero — reject them
-  // here so readers can use entries without re-validating.
-  if (!width.has_value() || *width < 1 || !time.has_value() || *time < 1) {
+  // here so readers can use entries without re-validating.  Widths
+  // share PlanRequest's [1, INT_MAX] range: a wider one would wrap in
+  // the int key and answer for a width it was never packed at.
+  if (!width.has_value() || *width < 1 ||
+      *width > static_cast<Cycles>(std::numeric_limits<int>::max()) ||
+      !time.has_value() || *time < 1) {
     throw ParseError(path, 0, "malformed cache entry");
   }
   EntryKey key;
@@ -298,48 +292,71 @@ std::pair<ResultCache::EntryKey, ResultCache::Entry> ResultCache::parse_entry(
   return {std::move(key), std::move(entry)};
 }
 
-bool ResultCache::load_snapshot_file_locked(const std::string& path,
-                                            const std::string& digest,
-                                            Store& store) {
-  try {
-    const std::optional<std::string> text = read_file_if_exists(path);
-    if (!text.has_value()) return true;  // absent is not corrupt
-    const JsonValue doc = parse_json(*text, path);
-    if (doc.at("schema").as_string() != kSchemaV4) {
-      throw ParseError(path, 0, "unexpected schema");
-    }
-    if (doc.at("digest").as_string() != digest) {
-      throw ParseError(path, 0, "digest does not match file");
-    }
-    // The header carries the SOC's digest inventory so the store can
-    // seed a replan.
-    std::optional<soc::DigestInventory> inventory;
-    if (const JsonValue* header = doc.find("inventory")) {
-      inventory = parse_inventory(*header, path);
-    }
-    std::string soc_name;
+void ResultCache::stage_record(std::string_view payload,
+                               const std::string& path,
+                               const std::string& shard_key,
+                               std::map<std::string, Staged>& images) {
+  const JsonValue doc = parse_json(std::string(payload), path);
+  const std::string op = doc.at("op").as_string();
+  const std::string digest = doc.at("digest").as_string();
+  if (digest.empty() || shard_key_of(digest) != shard_key) {
+    throw ParseError(path, 0, "cache record digest outside its shard");
+  }
+  if (op == "entry") {
+    auto [key, entry] = parse_entry(doc, path);
+    images[digest].entries.insert_or_assign(std::move(key), std::move(entry));
+  } else if (op == "meta") {
+    Staged& staged = images[digest];
     if (const JsonValue* name = doc.find("soc_name")) {
-      soc_name = name->as_string();
+      const std::string soc_name = name->as_string();
+      if (!soc_name.empty()) staged.soc_name = soc_name;
     }
-    std::map<EntryKey, Entry> loaded;
-    for (const JsonValue& item : doc.at("entries").as_array()) {
-      auto [key, entry] = parse_entry(item, path);
-      loaded.insert_or_assign(std::move(key), std::move(entry));
+    if (const JsonValue* header = doc.find("inventory")) {
+      staged.inventory = parse_inventory(*header, path);
+    }
+  } else {
+    throw ParseError(path, 0, "unknown cache record op");
+  }
+}
+
+void ResultCache::merge_staged(const Staged& staged, Store& store) {
+  for (const auto& [key, entry] : staged.entries) {
+    store.snapshot.insert_or_assign(key, entry);
+  }
+  // Later layers postdate whatever the earlier ones said.
+  if (staged.inventory.has_value()) store.inventory = staged.inventory;
+  if (store.soc_name.empty()) store.soc_name = staged.soc_name;
+}
+
+void ResultCache::load_snapshot_file_locked(const std::string& digest,
+                                            Store& store) {
+  const std::string path = snapshot_path(digest);
+  try {
+    const std::optional<std::string> bytes = read_file_if_exists(path);
+    if (!bytes.has_value()) return;  // absent is not corrupt
+    // Snapshots land whole by atomic rename, so unlike a journal a
+    // snapshot with any damage at all is not a crash artifact.
+    const JournalScan scan = scan_journal(*bytes);
+    if (bytes->empty() || scan.bad_header || scan.generation != 0 ||
+        scan.tail != JournalTail::kClean) {
+      throw ParseError(path, 0, "damaged snapshot frame");
+    }
+    std::map<std::string, Staged> images;
+    for (const std::string& payload : scan.payloads) {
+      stage_record(payload, path, shard_key_of(digest), images);
+    }
+    if (images.size() > 1 ||
+        (images.size() == 1 && images.begin()->first != digest)) {
+      throw ParseError(path, 0, "snapshot record for another digest");
     }
     // Commit only after the whole file parsed (no partial merges).
-    for (auto& [key, entry] : loaded) {
-      store.snapshot.insert_or_assign(key, std::move(entry));
-    }
-    if (inventory.has_value()) store.inventory = std::move(inventory);
-    if (store.soc_name.empty()) store.soc_name = std::move(soc_name);
-    return true;
+    if (!images.empty()) merge_staged(images.begin()->second, store);
   } catch (const Error& e) {
     // A cache must only ever make runs faster: anything unparseable OR
     // unreadable (ParseError and plain Error alike — e.g. permission
     // problems) is treated as absent and counted.
     log_debug("ignoring corrupt cache file ", path, ": ", e.what());
     ++corrupt_files_;
-    return false;
   }
 }
 
@@ -362,31 +379,7 @@ void ResultCache::apply_payload_locked(const std::string& shard_key,
                                        std::string_view payload,
                                        bool count_replayed) {
   try {
-    const JsonValue doc =
-        parse_json(std::string(payload), journal_path(shard_key));
-    const std::string op = doc.at("op").as_string();
-    const std::string digest = doc.at("digest").as_string();
-    if (digest.empty() || shard_key_of(digest) != shard_key) {
-      throw ParseError(journal_path(shard_key), 0,
-                       "journal record digest outside its shard");
-    }
-    if (op == "entry") {
-      auto [key, entry] = parse_entry(doc, journal_path(shard_key));
-      shard.tail[digest].entries.insert_or_assign(std::move(key),
-                                                  std::move(entry));
-    } else if (op == "meta") {
-      Staged& staged = shard.tail[digest];
-      if (const JsonValue* name = doc.find("soc_name")) {
-        const std::string soc_name = name->as_string();
-        if (!soc_name.empty()) staged.soc_name = soc_name;
-      }
-      if (const JsonValue* header = doc.find("inventory")) {
-        staged.inventory = parse_inventory(*header, journal_path(shard_key));
-      }
-    } else {
-      throw ParseError(journal_path(shard_key), 0,
-                       "unknown journal record op");
-    }
+    stage_record(payload, journal_path(shard_key), shard_key, shard.tail);
     if (count_replayed) ++replayed_records_;
   } catch (const Error& e) {
     // Checksum-valid but semantically invalid: skip the record, keep
@@ -497,13 +490,7 @@ void ResultCache::apply_staged_locked(const std::string& digest,
   if (sit == shards_.end()) return;
   const auto tit = sit->second.tail.find(digest);
   if (tit == sit->second.tail.end()) return;
-  const Staged& staged = tit->second;
-  for (const auto& [key, entry] : staged.entries) {
-    store.snapshot.insert_or_assign(key, entry);
-  }
-  // Journal records postdate whatever the files said.
-  if (staged.inventory.has_value()) store.inventory = staged.inventory;
-  if (store.soc_name.empty()) store.soc_name = staged.soc_name;
+  merge_staged(tit->second, store);
 }
 
 void ResultCache::maybe_evict_locked() {
@@ -532,7 +519,7 @@ void ResultCache::open_locked(const std::string& digest,
   if (!inserted || !disk_backed()) return;
   // Layered load, later layers win: the snapshot, then a replay of the
   // shard journal.
-  load_snapshot_file_locked(snapshot_path(digest), digest, store);
+  load_snapshot_file_locked(digest, store);
   scan_shard_shared_locked(shard_key_of(digest));
   apply_staged_locked(digest, store);
 }
@@ -691,7 +678,7 @@ void ResultCache::compact_shard_locked(const std::string& shard_key,
     // into the snapshot file and reset the journal — re-reading the
     // file here is the only way not to lose them when we overwrite it.
     Store assembled;
-    load_snapshot_file_locked(snapshot_path(digest), digest, assembled);
+    load_snapshot_file_locked(digest, assembled);
     const auto it = stores_.find(digest);
     if (it != stores_.end()) {
       // Layer the open store on top: it folds journal-at-open + this
@@ -714,12 +701,19 @@ void ResultCache::compact_shard_locked(const std::string& shard_key,
       assembled.inventory = staged.inventory;
     }
     if (assembled.soc_name.empty()) assembled.soc_name = staged.soc_name;
+    // The snapshot is a generation-0 journal of the folded image: one
+    // meta record, then the entries in EntryKey order.
+    std::string bytes = encode_journal_header(0);
+    bytes += encode_journal_record(
+        meta_payload(digest, assembled.soc_name, assembled.inventory));
+    for (const auto& [key, entry] : assembled.snapshot) {
+      bytes += encode_journal_record(
+          entry_payload(digest, key, entry.label, entry.test_time));
+    }
     // Snapshot bytes must be durable BEFORE the journal forgets the
     // records they fold — hence sync=true — so a crash between the two
     // replays to the same state (replay is idempotent).
-    write_file_atomic(snapshot_path(digest),
-                      serialize_store_locked(digest, assembled),
-                      /*sync=*/true);
+    write_file_atomic(snapshot_path(digest), bytes, /*sync=*/true);
     ++stats.snapshots_written;
     stats.records_folded += static_cast<long long>(staged.entries.size());
   }
@@ -769,31 +763,6 @@ CompactionStats ResultCache::compact() {
     }
   }
   return stats;
-}
-
-std::string ResultCache::serialize_store_locked(const std::string& digest,
-                                                const Store& store) const {
-  std::ostringstream os;
-  os << "{\n"
-     << "  \"schema\": \"" << kSchemaV4 << "\",\n"
-     << "  \"digest\": \"" << json_escape(digest) << "\",\n"
-     << "  \"soc_name\": \"" << json_escape(store.soc_name) << "\",\n";
-  if (store.inventory.has_value()) {
-    os << "  \"inventory\": ";
-    write_inventory(os, *store.inventory);
-    os << ",\n";
-  }
-  os << "  \"entries\": [";
-  bool first = true;
-  for (const auto& [key, entry] : store.snapshot) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "    {";
-    write_entry_fields(os, key, entry.label, entry.test_time);
-    os << "}";
-  }
-  os << "\n  ]\n}\n";
-  return os.str();
 }
 
 long long ResultCache::hits() const {

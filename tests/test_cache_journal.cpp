@@ -318,6 +318,23 @@ TEST(CacheJournal, CorruptClassesAreCountedPerJournal) {
     cache.open(kDigest);
     EXPECT_EQ(cache.corrupt_files(), 1);
   }
+  // Class 4: a TAM width past INT_MAX (2^32 + 16 would wrap to 16 in
+  // the int key and answer width-16 lookups).
+  {
+    const std::string dir = fresh_dir("corrupt_width");
+    const std::string wide = std::string("{\"op\": \"entry\", \"digest\": \"") +
+                             kDigest +
+                             "\", \"width\": 4294967312, \"packing\": \"p\", "
+                             "\"partition\": \"q\", \"label\": \"l\", "
+                             "\"test_time\": 5}";
+    write_bytes(journal_file(dir),
+                encode_journal_header(0) + encode_journal_record(wide));
+    ResultCache cache(dir);
+    cache.open(kDigest);
+    EXPECT_EQ(cache.corrupt_files(), 1);
+    EXPECT_FALSE(cache.lookup(kDigest, ResultCache::EntryKey(16, 0.0, "p", "q"))
+                     .has_value());
+  }
 }
 
 TEST(CacheJournal, ReplayIsIdempotentAcrossOpens) {
@@ -339,7 +356,7 @@ TEST(CacheJournal, CompactionIsEquivalentAcrossFlushCadences) {
   // Same entries, three cadences: one bulk flush + explicit compact,
   // entry-at-a-time flushes + explicit compact, and entry-at-a-time
   // with a 1-byte threshold (every flush auto-compacts).  The folded
-  // snapshots must match BYTE for byte.
+  // .snap files must match BYTE for byte.
   const std::string bulk_dir = fresh_dir("compact_bulk");
   const std::string drip_dir = fresh_dir("compact_drip");
   const std::string auto_dir = fresh_dir("compact_auto");
@@ -370,10 +387,16 @@ TEST(CacheJournal, CompactionIsEquivalentAcrossFlushCadences) {
   EXPECT_GT(autoc.compactions(), 1);  // the threshold really fired
 
   const auto snapshot = [](const std::string& dir) {
-    return read_bytes(fs::path(dir) / "ab" / (std::string(kDigest) + ".json"));
+    return read_bytes(fs::path(dir) / "ab" / (std::string(kDigest) + ".snap"));
   };
   const std::string golden = snapshot(bulk_dir);
-  EXPECT_NE(golden.find("msoc-cache-v4"), std::string::npos);
+  // A generation-0 journal: one meta record, then the six entries.
+  EXPECT_EQ(golden.rfind("MSOCWAL4", 0), 0u);
+  const JournalScan framed = scan_journal(golden);
+  EXPECT_EQ(framed.generation, 0u);
+  EXPECT_EQ(framed.tail, JournalTail::kClean);
+  ASSERT_EQ(framed.payloads.size(), 7u);
+  EXPECT_NE(framed.payloads[0].find("\"op\": \"meta\""), std::string::npos);
   EXPECT_EQ(snapshot(drip_dir), golden);
   EXPECT_EQ(snapshot(auto_dir), golden);
   // After compaction the journal is a bare header with a bumped
@@ -393,7 +416,8 @@ TEST(CacheJournal, CompactionIsEquivalentAcrossFlushCadences) {
   EXPECT_EQ(reader.replayed_records(), 0);  // snapshot, not journal
 }
 
-// --- Stores in the v1-v3 layout (<dir>/<digest>.json) are not read. ---
+// --- Stores in the v1-v3 layout (<dir>/<digest>.json) and JSON
+// snapshots (<dir>/<pp>/<digest>.json) are not read. ---
 
 TEST(CacheJournal, OldLayoutStoreIsNeitherReadNorCountedNorDeleted) {
   const std::string dir = fresh_dir("old_layout");
@@ -412,13 +436,30 @@ TEST(CacheJournal, OldLayoutStoreIsNeitherReadNorCountedNorDeleted) {
   // An unparseable one is not corruption either: nothing looks at it.
   const fs::path garbage = fs::path(dir) / (std::string(kDigest) + ".json");
   write_bytes(garbage, "{\"schema\": \"msoc-cache-v3\", \"digest\"");
+  // A JSON snapshot of an earlier v4 store, in the shard the replan
+  // below plans and compacts into.
+  const std::string soc_digest = soc::digest_hex(soc);
+  const fs::path json_snapshot =
+      fs::path(dir) / soc_digest.substr(0, 2) / (soc_digest + ".json");
+  const std::string json_bytes =
+      "{\"schema\": \"msoc-cache-v4\", \"digest\": \"" + soc_digest +
+      "\", \"soc_name\": \"d695m\", \"entries\": [{\"width\": 16, "
+      "\"packing\": \"00000000deadbeef\", \"partition\": \"fix-b\", "
+      "\"label\": \"l\", \"test_time\": 4343}]}";
+  write_bytes(json_snapshot, json_bytes);
 
   ResultCache cache(dir);
   cache.open(digest);
   cache.open(kDigest);
+  cache.open(soc_digest);
   EXPECT_FALSE(cache
                    .lookup(digest, ResultCache::EntryKey(
                                        16, 0.0, "00000000deadbeef", "fix-a"))
+                   .has_value());
+  EXPECT_FALSE(cache
+                   .lookup(soc_digest, ResultCache::EntryKey(
+                                           16, 0.0, "00000000deadbeef",
+                                           "fix-b"))
                    .has_value());
   EXPECT_FALSE(cache.inventory(digest).has_value());
   EXPECT_EQ(cache.corrupt_files(), 0);
@@ -437,9 +478,13 @@ TEST(CacheJournal, OldLayoutStoreIsNeitherReadNorCountedNorDeleted) {
       << warning;
   EXPECT_NE(warning.find("planning cold"), std::string::npos) << warning;
 
-  // Compaction folds the new journal and leaves both old files alone.
+  // Compaction folds the new journal into a .snap beside the JSON
+  // snapshot and leaves all three old files alone.
   const CompactionStats stats = cache.compact();
   EXPECT_EQ(stats.snapshots_written, 1);
+  EXPECT_TRUE(fs::is_regular_file(json_snapshot.parent_path() /
+                                  (soc_digest + ".snap")));
+  EXPECT_EQ(read_bytes(json_snapshot), json_bytes);
   EXPECT_EQ(read_bytes(old_store), old_bytes);
   EXPECT_TRUE(fs::is_regular_file(garbage));
   EXPECT_EQ(cache.corrupt_files(), 0);

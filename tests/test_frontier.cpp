@@ -10,6 +10,7 @@
 
 #include "msoc/common/error.hpp"
 #include "msoc/common/fileio.hpp"
+#include "msoc/common/journal.hpp"
 #include "msoc/plan/optimizer.hpp"
 #include "msoc/soc/benchmarks.hpp"
 #include "msoc/soc/digest.hpp"
@@ -270,18 +271,61 @@ TEST(Frontier, CorruptCacheFallsBackToRecompute) {
   const FrontierResult reference =
       FrontierEngine(soc, d695m_options()).run();
 
+  // The records of a genuine snapshot: every one of them would hit,
+  // so a damaged variant that serves any hit was merged partially.
   const std::string digest = soc::digest_hex(soc);
-  const std::vector<std::string> garbage_files = {
-      "{ not json at all",                      // unparseable
-      "{\"schema\": \"msoc-cache-v4\", \"dig",  // truncated
-      "{\"schema\": \"wrong-schema\", \"digest\": \"" + digest +
-          "\", \"entries\": []}",               // wrong schema
-      "{\"schema\": \"msoc-cache-v4\", \"digest\": \"beef\", "
-      "\"entries\": []}",                       // wrong digest
-      "{\"schema\": \"msoc-cache-v4\", \"digest\": \"" + digest +
-          "\", \"entries\": [{\"width\": -1, \"packing\": \"p\", "
-          "\"partition\": \"q\", \"test_time\": 1}]}",  // bad entry
+  const std::string snap_name = digest.substr(0, 2) + "/" + digest + ".snap";
+  const std::string source_dir = fresh_dir("frontier_corrupt_source");
+  {
+    ResultCache cache(source_dir);
+    FrontierOptions options = d695m_options();
+    options.cache = &cache;
+    (void)FrontierEngine(soc, options).run();
+    (void)cache.compact();
+  }
+  const std::optional<std::string> genuine =
+      read_file_if_exists(source_dir + "/" + snap_name);
+  ASSERT_TRUE(genuine.has_value());
+  const JournalScan scan = scan_journal(*genuine);
+  ASSERT_EQ(scan.tail, JournalTail::kClean);
+  ASSERT_GT(scan.payloads.size(), 1u);
+  const auto frame = [&scan](const std::string& extra_payload) {
+    std::string bytes = encode_journal_header(0);
+    for (const std::string& payload : scan.payloads) {
+      bytes += encode_journal_record(payload);
+    }
+    if (!extra_payload.empty()) bytes += encode_journal_record(extra_payload);
+    return bytes;
   };
+  const std::string intact = frame("");
+  ASSERT_EQ(intact, *genuine);
+  std::string bad_magic = intact;
+  bad_magic[0] = 'X';
+  std::string flipped = intact;
+  flipped[flipped.size() - 2] ^= 0x01;  // last record's payload
+  const std::vector<std::string> garbage_files = {
+      bad_magic,                     // bad magic
+      frame("{ not json at all"),   // not-JSON payload
+      frame("{\"op\": \"meta\", \"digest\": \"" + digest.substr(0, 2) +
+            "00000000000000\", \"soc_name\": \"other\"}"),  // wrong digest
+      frame("{\"op\": \"entry\", \"digest\": \"" + digest +
+            "\", \"width\": -1, \"packing\": \"p\", "
+            "\"partition\": \"q\", \"test_time\": 1}"),  // bad entry
+      intact.substr(0, intact.size() - 5),  // truncated record
+      flipped,                              // checksum flip
+  };
+  // The intact file alone answers the whole frontier.
+  {
+    const std::string dir = fresh_dir("frontier_corrupt_intact");
+    ensure_directory(dir + "/" + digest.substr(0, 2));
+    write_file_atomic(dir + "/" + snap_name, intact);
+    ResultCache cache(dir);
+    FrontierOptions options = d695m_options();
+    options.cache = &cache;
+    EXPECT_EQ(FrontierEngine(soc, options).run().evaluations, 0);
+    EXPECT_EQ(cache.corrupt_files(), 0);
+    EXPECT_EQ(cache.replayed_records(), 0);
+  }
   for (std::size_t g = 0; g < garbage_files.size(); ++g) {
     const std::string& garbage = garbage_files[g];
     // One directory per variant: flush() journals repairs durably, so
@@ -290,17 +334,15 @@ TEST(Frontier, CorruptCacheFallsBackToRecompute) {
     const std::string dir =
         fresh_dir(("frontier_corrupt_" + std::to_string(g)).c_str());
     // The v4 snapshot of the digest, in its shard directory.
-    const std::string shard = dir + "/" + digest.substr(0, 2);
-    ensure_directory(shard);
-    const std::string cache_file = shard + "/" + digest + ".json";
-    write_file_atomic(cache_file, garbage);
+    ensure_directory(dir + "/" + digest.substr(0, 2));
+    write_file_atomic(dir + "/" + snap_name, garbage);
     ResultCache cache(dir);
     FrontierOptions options = d695m_options();
     options.cache = &cache;
     const FrontierResult result = FrontierEngine(soc, options).run();
-    EXPECT_EQ(cache.corrupt_files(), 1) << garbage;
-    EXPECT_EQ(result.cache_hits, 0) << garbage;
-    EXPECT_EQ(result.evaluations, reference.evaluations) << garbage;
+    EXPECT_EQ(cache.corrupt_files(), 1) << "variant " << g;
+    EXPECT_EQ(result.cache_hits, 0) << "variant " << g;
+    EXPECT_EQ(result.evaluations, reference.evaluations) << "variant " << g;
     ASSERT_EQ(result.points.size(), reference.points.size());
     for (std::size_t i = 0; i < result.points.size(); ++i) {
       EXPECT_EQ(result.points[i].best.total,
@@ -313,7 +355,7 @@ TEST(Frontier, CorruptCacheFallsBackToRecompute) {
     ResultCache repaired(dir);
     options.cache = &repaired;
     EXPECT_EQ(FrontierEngine(soc, options).run().evaluations, 0)
-        << garbage;
+        << "variant " << g;
   }
 }
 
@@ -336,19 +378,27 @@ TEST(Frontier, StaleCacheEntriesRecomputedNotFatal) {
   // An absurdly small all-share baseline: every honest makespan
   // exceeds it, and a fresh pack disagrees with it.
   write_file_atomic(
-      shard + "/" + digest + ".json",
-      "{\"schema\": \"msoc-cache-v4\", \"digest\": \"" + digest +
-          "\", \"soc_name\": \"d695m\", \"entries\": [{\"width\": 16, "
-          "\"packing\": \"" + packing_fingerprint(tam::PackingOptions{}) +
-          "\", \"partition\": \"" +
-          partition_key(soc.analog_cores(), all_share, /*powered=*/true) +
-          "\", \"test_time\": 1000}]}");
+      shard + "/" + digest + ".snap",
+      encode_journal_header(0) +
+          encode_journal_record("{\"op\": \"meta\", \"digest\": \"" +
+                                digest + "\", \"soc_name\": \"d695m\"}") +
+          encode_journal_record(
+              "{\"op\": \"entry\", \"digest\": \"" + digest +
+              "\", \"width\": 16, \"packing\": \"" +
+              packing_fingerprint(tam::PackingOptions{}) +
+              "\", \"partition\": \"" +
+              partition_key(soc.analog_cores(), all_share, /*powered=*/true) +
+              "\", \"test_time\": 1000}"));
 
   ResultCache cache(dir);
   FrontierOptions options = d695m_options({16});
   options.cache = &cache;
+  ::testing::internal::CaptureStderr();
   const FrontierResult result = FrontierEngine(soc, options).run();
+  const std::string warning = ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(cache.corrupt_files(), 0);  // it parsed fine
+  EXPECT_NE(warning.find("are stale; recomputing"), std::string::npos)
+      << warning;  // ...and was read
   ASSERT_TRUE(result.points[0].ok());
   EXPECT_EQ(result.points[0].best.total, reference.points[0].best.total);
   EXPECT_EQ(result.points[0].best.test_time,
@@ -500,16 +550,16 @@ TEST(FrontierPower, WarmCacheCoversPowerEntriesWithoutCollisions) {
 
   // flush() appends to the shard journal; compact() folds it into a
   // v4 snapshot under <dir>/<pp>/.  Constrained entries carry their
-  // budget, and the header carries the SOC's digest inventory so the
-  // store can seed a replan.
+  // budget, and the meta record carries the SOC's digest inventory so
+  // the store can seed a replan.
   const std::string digest = soc::digest_hex(soc);
   const CompactionStats stats = cold_cache.compact();
   EXPECT_EQ(stats.shards_compacted, 1);
   EXPECT_GE(stats.snapshots_written, 1);
   const std::optional<std::string> text = read_file_if_exists(
-      (fs::path(dir) / digest.substr(0, 2) / (digest + ".json")).string());
+      (fs::path(dir) / digest.substr(0, 2) / (digest + ".snap")).string());
   ASSERT_TRUE(text.has_value());
-  EXPECT_NE(text->find("msoc-cache-v4"), std::string::npos);
+  EXPECT_EQ(text->rfind("MSOCWAL4", 0), 0u);
   EXPECT_NE(text->find("\"max_power\": "), std::string::npos);
   EXPECT_NE(text->find("\"inventory\""), std::string::npos);
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "msoc/common/error.hpp"
+#include "msoc/common/journal.hpp"
 #include "msoc/plan/frontier.hpp"
 #include "msoc/plan/sweep.hpp"
 #include "msoc/soc/benchmarks.hpp"
@@ -239,15 +240,22 @@ TEST(Replan, StoreWithoutInventoryFallsBackToCold) {
   const std::string dir = fresh_dir("no_inventory_store");
   const std::string baseline_digest = "00000000deadbeef";
   fs::create_directories(fs::path(dir) / "00");
-  std::ofstream(fs::path(dir) / "00" / (baseline_digest + ".json"))
-      << "{\n  \"schema\": \"msoc-cache-v4\",\n"
-      << "  \"soc_name\": \"old\",\n  \"digest\": \"" << baseline_digest
-      << "\",\n  \"entries\": []\n}\n";
+  std::ofstream(fs::path(dir) / "00" / (baseline_digest + ".snap"),
+                std::ios::binary)
+      << encode_journal_header(0)
+      << encode_journal_record("{\"op\": \"meta\", \"digest\": \"" +
+                               baseline_digest + "\", \"soc_name\": \"old\"}")
+      << encode_journal_record(
+             "{\"op\": \"entry\", \"digest\": \"" + baseline_digest +
+             "\", \"width\": 16, \"packing\": \"p\", \"partition\": "
+             "\"q\", \"label\": \"l\", \"test_time\": 77}");
 
   ResultCache cache(dir);
   FrontierEngine engine(soc, cached_options(&cache));
   const FrontierResult fallback = engine.replan(baseline_digest);
   EXPECT_EQ(cache.corrupt_files(), 0);  // a valid store, just no inventory
+  EXPECT_EQ(cache.lookup(baseline_digest, ResultCache::EntryKey(16, 0.0, "p", "q")),
+            std::optional<Cycles>(77));  // ...and it was read
   EXPECT_TRUE(fallback.replanned_from.empty());
 
   FrontierOptions cold_options;
