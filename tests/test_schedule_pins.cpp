@@ -14,6 +14,24 @@
 // (admission checks, skyline segments visited, retries, reservations)
 // in tests/data/p93791m_counter_pins.txt: a change to how probes are
 // run or counted, not only to where tests land, shows up here.
+//
+// A second recording, tests/data/extra_schedule_pins.txt, pins packs
+// the p93791m set barely reaches: d695m and a powered synthetic SOC
+// (peak budget plus a sliding window), both at per-test analog
+// granularity, at widths 16/32/64 for the singleton and the all-share
+// partitions.  pack_best races each placement order with a narrow- and
+// a wide-on-tie width preference and skips a candidate that must
+// reproduce an earlier one, so these cases exercise both skips:
+//  - a race won by a kWide pass: the synthetic SOC at width 32
+//    singleton (the p93791m pins have one such race, the differential
+//    suite none);
+//  - races with a duplicate placement order: every d695m all-share pack
+//    and every d695m singleton pack's serialized fallback, where
+//    kAnalogFirst lays out the one analog group exactly as
+//    kAreaDescending does;
+//  - races in which the wide preference breaks a tie for some orders
+//    but not others: the synthetic SOC at every width.
+// The schedules must not move when candidates are skipped.
 
 #include <gtest/gtest.h>
 
@@ -53,6 +71,23 @@ soc::Soc powered_p93791m() {
   return out;
 }
 
+/// A powered synthetic SOC with a sliding window: 20 digital cores and
+/// four analog cores (several specification tests each), every test
+/// drawing 5..60 power units under a peak budget of twice the hottest
+/// and a 20000-cycle window averaging at most 1.5x the hottest.
+soc::Soc powered_synthetic() {
+  soc::SyntheticSocParams params;
+  params.digital_cores = 20;
+  params.analog_cores = 4;
+  params.seed = 12;
+  params.min_test_power = 5.0;
+  params.max_test_power = 60.0;
+  params.power_budget_factor = 2.0;
+  soc::Soc out = soc::make_synthetic_soc(params);
+  out.set_power_window({20000, 1.5 * out.peak_test_power()});
+  return out;
+}
+
 void render(std::ostream& out, const std::string& label,
             const Schedule& schedule) {
   out << "# " << label << " makespan " << schedule.makespan() << '\n';
@@ -69,39 +104,78 @@ struct Rendering {
   std::string counters;
 };
 
+/// Packs one labelled case after another into a Rendering.
+class Recorder {
+ public:
+  void pack(const std::string& label, const soc::Soc& soc, int width,
+            const AnalogPartition& partition, const PackingOptions& options) {
+    reset_pack_counters();
+    render(schedules_, label, schedule_soc(soc, width, partition, options));
+    const PackCounterSnapshot c = snapshot_pack_counters();
+    counters_ << label << " checks " << c.admission_checks << " events "
+              << c.events_visited << " retries " << c.retries
+              << " reservations " << c.reservations << '\n';
+  }
+
+  [[nodiscard]] Rendering rendering() const {
+    return {schedules_.str(), counters_.str()};
+  }
+
+ private:
+  std::ostringstream schedules_;
+  std::ostringstream counters_;
+};
+
+/// " width W singleton" / " width W all-share".
+std::string case_suffix(int width, bool share) {
+  return " width " + std::to_string(width) +
+         (share ? " all-share" : " singleton");
+}
+
 Rendering render_all() {
   const soc::Soc plain = soc::make_p93791m();
   const soc::Soc powered = powered_p93791m();
-  std::ostringstream schedules;
-  std::ostringstream counters;
-  const auto pack = [&](const std::string& label, const soc::Soc& soc,
-                        int width, const AnalogPartition& partition,
-                        const PackingOptions& options) {
-    reset_pack_counters();
-    render(schedules, label, schedule_soc(soc, width, partition, options));
-    const PackCounterSnapshot c = snapshot_pack_counters();
-    counters << label << " checks " << c.admission_checks << " events "
-             << c.events_visited << " retries " << c.retries
-             << " reservations " << c.reservations << '\n';
-  };
+  Recorder recorder;
   for (const int width : {16, 32, 64}) {
     for (const bool share : {false, true}) {
       const AnalogPartition partition =
           share ? all_share_partition(plain) : singleton_partition(plain);
-      const std::string suffix = " width " + std::to_string(width) +
-                                 (share ? " all-share" : " singleton");
-      pack("unconstrained" + suffix, plain, width, partition, {});
-      pack("peak" + suffix, powered, width, partition, {});
+      const std::string suffix = case_suffix(width, share);
+      recorder.pack("unconstrained" + suffix, plain, width, partition, {});
+      recorder.pack("peak" + suffix, powered, width, partition, {});
       // Sustained budget alone: peak off, every 20000-cycle window
       // averaging at most 1.5x the hottest single test.
       PackingOptions windowed;
       windowed.max_power = 0.0;
       windowed.window_cycles = 20000;
       windowed.window_limit = 1.5 * powered.peak_test_power();
-      pack("window" + suffix, powered, width, partition, windowed);
+      recorder.pack("window" + suffix, powered, width, partition, windowed);
     }
   }
-  return {schedules.str(), counters.str()};
+  return recorder.rendering();
+}
+
+/// The extra recording's packs, all at per-test analog granularity.
+std::string render_extra() {
+  const soc::Soc d695m = soc::make_d695m();
+  const soc::Soc synthetic = powered_synthetic();
+  PackingOptions per_test;
+  per_test.analog_per_test = true;
+  Recorder recorder;
+  for (const int width : {16, 32, 64}) {
+    for (const bool share : {false, true}) {
+      const std::string suffix = case_suffix(width, share);
+      for (const auto& [name, soc] :
+           {std::pair<std::string, const soc::Soc&>{"d695m", d695m},
+            {"synthetic", synthetic}}) {
+        recorder.pack(
+            name + suffix, soc, width,
+            share ? all_share_partition(soc) : singleton_partition(soc),
+            per_test);
+      }
+    }
+  }
+  return recorder.rendering().schedules;
 }
 
 /// Compares `fresh` with the recording `name` under tests/data, writing
@@ -122,6 +196,11 @@ TEST(SchedulePins, P93791mSchedulesMatchTheRecording) {
   expect_recording("p93791m_schedule_pins.txt",
                    "p93791m_schedule_pins.actual.txt",
                    render_all().schedules);
+}
+
+TEST(SchedulePins, ExtraSchedulesMatchTheRecording) {
+  expect_recording("extra_schedule_pins.txt",
+                   "extra_schedule_pins.actual.txt", render_extra());
 }
 
 TEST(SchedulePins, P93791mCountersMatchTheRecording) {
