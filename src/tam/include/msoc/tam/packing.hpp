@@ -19,6 +19,15 @@
 // wrapper busy windows are coalescing interval sets (interval_set.hpp),
 // so every admission probe costs O(log n + segments crossed) instead of
 // a full walk of the timeline, and starts at the width's watermark.
+//
+// schedule_soc races three placement orders, each with a narrow- and a
+// wide-on-tie width preference, and keeps the shortest repaired
+// schedule.  A race candidate that must reproduce an earlier one is
+// skipped: an order with an already-raced placement sequence, and the
+// wide pass of an order whose narrow pass never broke a tie on width
+// (both passes then decide every placement alike).  Repair depends
+// only on the greedy schedule and only a strictly shorter candidate
+// replaces the best, so the skip never changes the result.
 
 #include <string>
 #include <vector>
@@ -87,8 +96,13 @@ struct PackingOptions {
   Cycles window_cycles = 0;
   /// Assign concrete wire ids by interval coloring (costs a sort).
   bool assign_wires = true;
-  /// Race all placement orders and keep the shortest schedule (default).
-  /// When false, only `order` is used.
+  /// Race all placement orders, each with both width preferences, and
+  /// keep the shortest schedule (default).  Candidates whose greedy
+  /// schedule provably equals an earlier candidate's (a duplicate
+  /// placement sequence, or a wide pass where width never broke a tie)
+  /// are skipped; they could not win, since only a strictly shorter
+  /// candidate replaces the best.  When false, only `order` is used,
+  /// with the narrow preference.
   bool race_orders = true;
   PlacementOrder order = PlacementOrder::kAreaDescending;
   /// Consider every Pareto width (true) or only the widest feasible one

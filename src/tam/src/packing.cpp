@@ -57,12 +57,14 @@ enum class WidthPreference { kNarrow, kWide };
 /// area, start); `widths` pairs each width with its duration.  For a
 /// fixed width the earliest feasible start is optimal under this cost,
 /// so only one candidate start per width needs to be examined — and
-/// none at all when even the width's watermark already loses.
+/// none at all when even the width's watermark already loses.  Sets
+/// `*pref_decided` (when given) if `pref` decides any comparison.
 Placement choose_placement(Timeline& timeline, double power,
                            const std::vector<std::pair<int, Cycles>>& widths,
                            const IntervalSet& blocked,
                            Cycles current_makespan,
-                           WidthPreference pref = WidthPreference::kNarrow) {
+                           WidthPreference pref = WidthPreference::kNarrow,
+                           bool* pref_decided = nullptr) {
   Placement best;
   Cycles best_makespan = std::numeric_limits<Cycles>::max();
   // The lexicographic (makespan, area, start, preference) order: true
@@ -76,6 +78,7 @@ Placement choose_placement(Timeline& timeline, double power,
     if (area != best_area) return area < best_area;  // cheapest wire usage
     if (start != best.start) return start < best.start;
     if (width == best.width) return false;
+    if (pref_decided != nullptr) *pref_decided = true;
     return pref == WidthPreference::kNarrow ? width < best.width
                                             : width > best.width;
   };
@@ -132,7 +135,9 @@ void assign_wires(Schedule& schedule) {
 struct PlacementRef {
   bool is_analog = false;
   std::size_t index = 0;
-  Cycles area = 0;
+  Cycles area = 0;  ///< A function of (is_analog, index).
+
+  bool operator==(const PlacementRef&) const = default;
 };
 
 std::vector<PlacementRef> make_order(const std::vector<DigitalItem>& digital,
@@ -319,10 +324,13 @@ Cycles packing_target(const std::vector<DigitalItem>& digital,
   return std::max(area_bound, longest);
 }
 
+/// One greedy pass over `sequence` (a make_order result).  Sets
+/// `*pref_decided` if `pref` decides any comparison.
 Schedule pack_once(const std::vector<DigitalItem>& digital,
                    const std::vector<AnalogGroupItem>& groups, int tam_width,
                    double max_power, soc::PowerWindow window,
-                   PlacementOrder order, WidthPreference pref) {
+                   const std::vector<PlacementRef>& sequence,
+                   WidthPreference pref, bool* pref_decided) {
   Timeline timeline(tam_width, max_power, window);
   Schedule schedule;
   schedule.tam_width = tam_width;
@@ -334,7 +342,7 @@ Schedule pack_once(const std::vector<DigitalItem>& digital,
   const Cycles target = packing_target(digital, groups, tam_width);
   Cycles makespan = target;
 
-  for (const PlacementRef& ref : make_order(digital, groups, order)) {
+  for (const PlacementRef& ref : sequence) {
     if (!ref.is_analog) {
       const DigitalItem& item = digital[ref.index];
       std::vector<std::pair<int, Cycles>> widths;
@@ -343,7 +351,8 @@ Schedule pack_once(const std::vector<DigitalItem>& digital,
         widths.emplace_back(p.width, p.time);
       }
       const Placement p =
-          choose_placement(timeline, item.power, widths, {}, makespan, pref);
+          choose_placement(timeline, item.power, widths, {}, makespan, pref,
+                           pref_decided);
       timeline.reserve(p.start, p.duration, p.width, item.power);
       makespan = std::max(makespan, p.start + p.duration);
       ScheduledTest t;
@@ -364,7 +373,7 @@ Schedule pack_once(const std::vector<DigitalItem>& digital,
         const Placement p =
             choose_placement(timeline, rect.power,
                              {{rect.width, rect.duration}}, busy, makespan,
-                             pref);
+                             pref, pref_decided);
         timeline.reserve(p.start, p.duration, p.width, rect.power);
         makespan = std::max(makespan, p.start + p.duration);
         busy.insert(p.start, p.start + p.duration);
@@ -394,7 +403,8 @@ bool rect_before(const AnalogRect& a, const AnalogRect& b) {
 }
 
 /// Races the configured placement orders and width preferences (plus
-/// iterative repair) and keeps the shortest schedule.
+/// iterative repair) and keeps the shortest schedule, skipping every
+/// candidate that must reproduce an earlier one.
 Schedule pack_best(const std::vector<DigitalItem>& digital,
                    const std::vector<AnalogGroupItem>& groups, int tam_width,
                    double max_power, soc::PowerWindow window,
@@ -407,13 +417,36 @@ Schedule pack_best(const std::vector<DigitalItem>& digital,
     orders = {options.order};
   }
 
+  // Skipping is exact.  A candidate's repair depends only on its greedy
+  // schedule, and a later candidate replaces the best only when strictly
+  // shorter, so a candidate whose greedy schedule equals an earlier
+  // one's can never change the result.  Two kinds are known equal up
+  // front:
+  //  - an order whose (is_analog, index) sequence was already raced:
+  //    pack_once sees nothing of the order but that sequence;
+  //  - the kWide pass of an order whose kNarrow pass never let the width
+  //    preference decide a comparison.  By induction over placements,
+  //    both passes start each placement from the same timeline and
+  //    reach the preference clause at the same comparisons; the kNarrow
+  //    pass reached it at none, so every comparison, and with it every
+  //    placement, is the same in both.
+  std::vector<std::vector<PlacementRef>> raced;
   Schedule best;
   bool have_best = false;
   for (PlacementOrder order : orders) {
+    const std::vector<PlacementRef> sequence =
+        make_order(digital, groups, order);
+    if (std::find(raced.begin(), raced.end(), sequence) != raced.end()) {
+      continue;
+    }
+    raced.push_back(sequence);
+
+    bool pref_decided = false;
     for (WidthPreference pref :
          {WidthPreference::kNarrow, WidthPreference::kWide}) {
+      if (pref == WidthPreference::kWide && !pref_decided) break;
       Schedule candidate = pack_once(digital, groups, tam_width, max_power,
-                                     window, order, pref);
+                                     window, sequence, pref, &pref_decided);
       if (options.improvement_rounds > 0) {
         improve_schedule(candidate, digital, options.improvement_rounds);
       }
