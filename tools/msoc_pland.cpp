@@ -24,6 +24,7 @@
 
 #include <csignal>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "msoc/common/error.hpp"
@@ -67,10 +68,11 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     const auto int_value = [&](int& i, const char* flag, int lo) -> int {
+      constexpr int hi = std::numeric_limits<int>::max();
       const auto v = parse_int(value(i, flag));
-      require(v.has_value() && *v >= lo,
-              std::string(flag) + " needs an integer >= " +
-                  std::to_string(lo));
+      require(v.has_value() && *v >= lo && *v <= hi,
+              std::string(flag) + " needs an integer in [" +
+                  std::to_string(lo) + ", " + std::to_string(hi) + "]");
       return static_cast<int>(*v);
     };
     for (int i = 1; i < argc; ++i) {
