@@ -33,7 +33,18 @@ struct CostWeights {
   double area = 0.5;
 
   void validate() const;
+
+  /// w_T * c_time + w_A * c_area: Eq. 2 over C_time, Eq. 3 over the
+  /// normalized analog lower bound.
+  [[nodiscard]] double total(double c_time, double c_area) const {
+    return time * c_time + area * c_area;
+  }
 };
+
+/// C_time of Eq. 2: 100 * T / T_max.
+[[nodiscard]] inline double c_time(Cycles test_time, Cycles t_max) {
+  return 100.0 * static_cast<double>(test_time) / static_cast<double>(t_max);
+}
 
 /// Everything the planner needs to evaluate combinations on one SOC.
 struct PlanningProblem {
@@ -57,6 +68,15 @@ struct CombinationCost {
   double c_area = 0.0;     ///< Eq.(1).
   double total = 0.0;      ///< Eq.(2).
 };
+
+/// Eq. 2 for one combination packed in `test_time` against the
+/// all-share baseline `t_max`.  A LogicError when test_time > t_max:
+/// the packer's serialized fallback guarantees no partition packs
+/// worse than the all-share arrangement.
+[[nodiscard]] CombinationCost price(const mswrap::Partition& partition,
+                                    std::string label, double c_area,
+                                    Cycles test_time, Cycles t_max,
+                                    const CostWeights& weights);
 
 /// Evaluates combinations against one PlanningProblem, memoizing the
 /// expensive TAM-optimizer runs and the T_max baseline.

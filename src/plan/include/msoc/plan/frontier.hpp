@@ -6,12 +6,12 @@
 // Every deployment question around the paper's Tables 3-4 is a curve —
 // how do test time and cost move as the width budget moves — and the
 // per-width optimizer re-derives everything from scratch at each
-// width.  The engine is the assembly stage of the staged pipeline
-// (msoc/plan/pipeline.hpp, docs/architecture.md): stage 1 enumerates
-// the partition space once per SOC (PartitionSpace), stage 2 resolves
-// digest-keyed partition makespans per (width, power) cell
-// (PartitionEvaluator), and the engine walks the budget grid sharing
-// everything width-independent:
+// width.  The engine runs the staged pipeline (docs/architecture.md):
+// stage 1 enumerates the partition space once per SOC
+// (PartitionSpace, msoc/plan/pipeline.hpp), stage 2 resolves
+// digest-keyed partition makespans per (width, power) cell (the
+// private FrontierEngine::Cell), and stage 3 — the engine itself —
+// walks the budget grid sharing everything width-independent:
 //
 //   * the sharing-combination enumeration, each combination's Eq. 3
 //     preliminary cost, area cost, analog lower bound, and the
@@ -201,6 +201,9 @@ class FrontierEngine {
   }
 
  private:
+  /// Stage 2 state of one (width, budget) cell (frontier.cpp).
+  struct Cell;
+
   [[nodiscard]] FrontierPoint solve_point(int width, double max_power);
   [[nodiscard]] FrontierPoint solve_point_attempt(int width,
                                                   double max_power,
@@ -219,8 +222,6 @@ class FrontierEngine {
   std::vector<double> powers_;  ///< Resolved rungs, solve order.
   /// Resolved sliding-window budget (inactive = unwindowed run).
   soc::PowerWindow window_;
-  int max_analog_width_ = 0;
-  double peak_test_power_ = 0.0;
 
   /// Replan state, engaged only inside replan() with a usable
   /// baseline: the baseline digest and the per-cell reuse permissions

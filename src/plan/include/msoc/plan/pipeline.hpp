@@ -1,66 +1,50 @@
 #pragma once
-// The staged planning pipeline behind plan::FrontierEngine
-// (docs/architecture.md, "staged pipeline"):
+// Stage 1 of the planning pipeline behind plan::FrontierEngine
+// (docs/architecture.md, "The staged planning pipeline"):
 //
-//   Stage 1 — PartitionSpace: enumerate the sharing combinations once
-//   per SOC, with each combination's Eq. 3 preliminary cost, analog
-//   lower bound, Fig. 3 shape groups, and BOTH content-addressed cache
-//   keys (full-digest for power-constrained cells, power-stripped for
-//   unconstrained ones).  Everything here is width- and
-//   budget-independent.
+//   Stage 1 — PartitionSpace (here): enumerate the sharing combinations
+//   once per SOC, with each combination's Eq. 3 preliminary cost,
+//   analog lower bound, Fig. 3 shape groups, and BOTH content-addressed
+//   cache keys (full-digest for powered cells, power-stripped for
+//   unconstrained ones).  Nothing here depends on width or budget.
 //
-//   Stage 2 — PartitionEvaluator: resolve partition makespans for one
-//   (width, budget) cell.  Keyed entirely by core-digest multisets, so
-//   a makespan can come from three places, tried in order: the current
-//   store's snapshot, a replan BASELINE store (when the cell's digests
-//   are clean relative to it), or a fresh TAM pack (one deterministic
-//   parallel fan-out over the misses).  Reused and fresh results alike
-//   are re-recorded under the CURRENT digest — that is the splice that
-//   materializes an up-to-date store on flush.
+//   Stage 2 — FrontierEngine::Cell (frontier.cpp): resolve partition
+//   makespans for one (width, budget) cell from the current store, a
+//   replan baseline store (clean cells only), or one parallel fan-out
+//   of fresh TAM packs.
 //
-//   Stage 3 — frontier assembly (frontier.cpp): Fig. 3 elimination,
+//   Stage 3 — the rest of FrontierEngine: Fig. 3 elimination,
 //   lower-bound pruning, winner reduction, and per-rung Pareto /
 //   monotonicity marking over the resolved makespans.
 //
-// The stages share no hidden state: stage 2 sees stage 1 only through
-// the cells' cache keys, which is exactly why stage 2 results survive
-// SOC revisions whose digests are clean (FrontierEngine::replan).
+// Stage 2 sees stage 1 only through the cells' cache keys, which is
+// why its results survive SOC revisions whose digests are clean
+// (FrontierEngine::replan).
 
-#include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "msoc/plan/cost_model.hpp"
-#include "msoc/plan/result_cache.hpp"
 #include "msoc/soc/delta.hpp"
 #include "msoc/soc/soc.hpp"
 
 namespace msoc::plan {
 
-/// Raised by stage 2 when a parseable cache entry contradicts a
-/// freshly-packed baseline (stale or tampered store): the caller
-/// re-solves the cell without trusting any store.  Never escapes the
-/// engine.
-struct StaleCacheError {};
-
 /// One enumerated sharing combination with its width-independent
 /// precomputation (stage 1 product).
 struct PartitionCell {
   mswrap::SharingEvaluation evaluation;
-  double prelim = 0.0;    ///< Eq. 3, matches CostModel::preliminary_cost.
+  double prelim = 0.0;    ///< Eq. 3.
   Cycles analog_lb = 0;   ///< Busiest-wrapper usage (width-independent).
   std::string key_full;     ///< partition_key over full core digests.
   std::string key_packing;  ///< ... over power-stripped digests.
 
-  /// The cache key a cell at effective budget `max_power` stores under:
-  /// constrained packs (peak budget OR sliding-window budget) see power
-  /// annotations, unconstrained ones provably cannot, so those key on
-  /// the stripped digests and stay valid across power-annotation-only
-  /// revisions.
-  [[nodiscard]] const std::string& key_for(double max_power,
-                                           bool windowed = false) const {
-    return max_power > 0.0 || windowed ? key_full : key_packing;
+  /// The cache key of a `powered` pack (peak OR sliding-window budget):
+  /// those see power annotations, unconstrained ones provably cannot,
+  /// so the latter key on the stripped digests and stay valid across
+  /// power-annotation-only revisions.
+  [[nodiscard]] const std::string& key_for(bool powered) const {
+    return powered ? key_full : key_packing;
   }
 };
 
@@ -88,10 +72,8 @@ class PartitionSpace {
   std::string all_share_key_full;
   std::string all_share_key_packing;
 
-  [[nodiscard]] const std::string& all_share_key_for(
-      double max_power, bool windowed = false) const {
-    return max_power > 0.0 || windowed ? all_share_key_full
-                                       : all_share_key_packing;
+  [[nodiscard]] const std::string& all_share_key_for(bool powered) const {
+    return powered ? all_share_key_full : all_share_key_packing;
   }
 
   /// Per-cell reuse permission against a baseline delta: a cell is
@@ -102,80 +84,6 @@ class PartitionSpace {
   [[nodiscard]] std::vector<bool> classify_clean(
       const soc::Soc& soc, const soc::DigestDelta& delta,
       bool packing_flavor) const;
-};
-
-/// Stage 2: makespan resolution for one (width, budget) cell.  Create
-/// one per cell; `begin_cell` fixes the T_max baseline, `resolve`
-/// fills makespans for cell indices on demand.  All lookups hit the
-/// stores' open-time snapshots, and the fresh-pack fan-out is
-/// deterministic per `jobs`, so resolution order never changes
-/// results.
-class PartitionEvaluator {
- public:
-  /// `clean` (borrowed, may be null = no baseline reuse) flags the
-  /// cells allowed to read `baseline_digest`'s store.  `cache` may be
-  /// null (everything is packed fresh).  `trust_cache` false disables
-  /// ALL store reads — the StaleCacheError retry path.
-  /// `window_cycles`/`window_limit` are the EFFECTIVE sliding-window
-  /// budget of the cell (both 0 = unwindowed); like max_power they are
-  /// explicit EntryKey coordinates, and an active window flips the
-  /// partition keys to the powered (full-digest) flavor.
-  PartitionEvaluator(const PartitionSpace& space, ResultCache* cache,
-                     const std::string& digest,
-                     const std::string& baseline_digest,
-                     const std::string& fingerprint, int width,
-                     double max_power, Cycles window_cycles,
-                     double window_limit, bool trust_cache,
-                     const std::vector<bool>* clean, int jobs);
-
-  /// Resolves the all-share T_max: current store, then baseline store,
-  /// then `pack_t_max()` (records fresh AND baseline-read values under
-  /// the current digest).  Returns the baseline; `from_store` reports
-  /// whether it was answered without packing — the caller must verify
-  /// a store-read baseline against the model before trusting
-  /// store-read makespans (see t_max_confirmed).
-  [[nodiscard]] Cycles begin_cell(const std::function<Cycles()>& pack_t_max,
-                                  const std::string& label,
-                                  bool* from_store);
-
-  /// Resolves `indices`: current store, baseline store (clean cells
-  /// only), then one parallel fan-out of `model()`.evaluate over the
-  /// misses.  `model` is invoked only when misses exist.  Throws
-  /// StaleCacheError when a store value contradicts the baseline.
-  void resolve(const std::vector<std::size_t>& indices,
-               const std::function<CostModel&()>& model);
-
-  [[nodiscard]] const std::optional<Cycles>& time(std::size_t index) const {
-    return time_of_[index];
-  }
-  [[nodiscard]] int cache_hits() const noexcept { return cache_hits_; }
-  [[nodiscard]] int reused() const noexcept { return reused_; }
-
- private:
-  /// Store lookup for one key: current digest first, then the baseline
-  /// store when this cell may reuse it.  Counts hits/reused and
-  /// re-records baseline reads under the current digest (the splice).
-  [[nodiscard]] std::optional<Cycles> lookup(const std::string& key,
-                                             const std::string& label,
-                                             bool cell_clean);
-
-  const PartitionSpace& space_;
-  ResultCache* cache_;
-  const std::string& digest_;
-  const std::string& baseline_digest_;  ///< Empty = not replanning.
-  const std::string& fingerprint_;
-  int width_;
-  double max_power_;
-  Cycles window_cycles_;
-  double window_limit_;
-  bool trust_cache_;
-  const std::vector<bool>* clean_;
-  int jobs_;
-  Cycles t_max_ = 0;
-  bool t_max_from_store_ = false;
-  std::vector<std::optional<Cycles>> time_of_;
-  int cache_hits_ = 0;
-  int reused_ = 0;
 };
 
 }  // namespace msoc::plan

@@ -1,6 +1,7 @@
 #include "msoc/plan/cost_model.hpp"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "msoc/common/error.hpp"
@@ -11,6 +12,26 @@ void CostWeights::validate() const {
   require(time >= 0.0 && area >= 0.0, "cost weights must be non-negative");
   require(std::fabs(time + area - 1.0) < 1e-9,
           "cost weights must sum to 1");
+}
+
+CombinationCost price(const mswrap::Partition& partition, std::string label,
+                      double c_area, Cycles test_time, Cycles t_max,
+                      const CostWeights& weights) {
+  // Any all-share schedule is feasible for every partition (it satisfies
+  // a superset of the serialization constraints), so no partition may
+  // cost more than T_max.  The packer guarantees this via its serialized
+  // fallback; a violation here means that guarantee regressed.
+  check_invariant(test_time <= t_max,
+                  "partition " + label +
+                      " packed worse than the all-share baseline");
+  CombinationCost cost;
+  cost.partition = partition;
+  cost.label = std::move(label);
+  cost.test_time = test_time;
+  cost.c_time = c_time(test_time, t_max);
+  cost.c_area = c_area;
+  cost.total = weights.total(cost.c_time, cost.c_area);
+  return cost;
 }
 
 void PlanningProblem::validate() const {
@@ -44,8 +65,8 @@ int CostModel::tam_runs() const {
 
 double CostModel::preliminary_cost(
     const mswrap::SharingEvaluation& evaluation) const {
-  return problem_.weights.time * evaluation.analog_lb_normalized +
-         problem_.weights.area * evaluation.area_cost;
+  return problem_.weights.total(evaluation.analog_lb_normalized,
+                                evaluation.area_cost);
 }
 
 tam::Schedule CostModel::schedule_for(
@@ -81,24 +102,10 @@ Cycles CostModel::run_tam(const mswrap::Partition& partition) {
 }
 
 CombinationCost CostModel::evaluate(const mswrap::Partition& partition) {
-  const Cycles baseline = t_max();
-  CombinationCost cost;
-  cost.partition = partition;
-  cost.label = partition.to_string(names_);
-  cost.test_time = run_tam(partition);
-  // Any all-share schedule is feasible for every partition (it satisfies
-  // a superset of the serialization constraints), so no partition may
-  // cost more than T_max.  The packer guarantees this via its serialized
-  // fallback; a violation here means that guarantee regressed.
-  check_invariant(cost.test_time <= baseline,
-                  "partition " + cost.label +
-                      " packed worse than the all-share baseline");
-  cost.c_time = 100.0 * static_cast<double>(cost.test_time) /
-                static_cast<double>(baseline);
-  cost.c_area = problem_.area_model.area_cost(cores(), partition);
-  cost.total = problem_.weights.time * cost.c_time +
-               problem_.weights.area * cost.c_area;
-  return cost;
+  const Cycles test_time = run_tam(partition);
+  return price(partition, partition.to_string(names_),
+               problem_.area_model.area_cost(cores(), partition), test_time,
+               t_max(), problem_.weights);
 }
 
 }  // namespace msoc::plan

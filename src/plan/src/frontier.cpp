@@ -12,6 +12,7 @@
 #include "msoc/common/format.hpp"
 #include "msoc/common/json.hpp"
 #include "msoc/common/logging.hpp"
+#include "msoc/common/parallel.hpp"
 #include "msoc/soc/digest.hpp"
 #include "cell_writer.hpp"
 
@@ -26,15 +27,10 @@ double elapsed_ms(Clock::time_point since) {
       .count();
 }
 
-/// The message schedule_soc raises for an over-narrow TAM; the engine
-/// pre-checks so fully-cached widths never need a packer run to learn
-/// they are infeasible, but must report the identical text.
-constexpr const char* kTooNarrow =
-    "analog wrapper needs more TAM wires than the SOC has";
-
-/// Likewise for a power budget no schedule can satisfy (a single test
-/// hotter than the whole budget).
-constexpr const char* kTooHot = "test power exceeds the SOC power budget";
+/// Raised by a cell when a parseable cache entry contradicts the packer
+/// (stale or tampered store): solve_point re-solves the cell without
+/// trusting any store.  Never escapes the engine.
+struct StaleCacheError {};
 
 int count_dirty(const std::vector<bool>& clean) {
   return static_cast<int>(
@@ -87,7 +83,7 @@ FrontierEngine::FrontierEngine(const soc::Soc& soc, FrontierOptions options)
   // budgets.  With the default one-inherit-rung ladder on an
   // unconstrained SOC this is exactly the pre-power single solve.
   for (const double budget : options_.max_powers) {
-    powers_.push_back(budget < 0.0 ? soc_.max_power() : budget);
+    powers_.push_back(tam::effective_max_power(soc_, budget));
   }
   std::sort(powers_.begin(), powers_.end(), [](double a, double b) {
     if ((a == 0.0) != (b == 0.0)) return a == 0.0;  // unconstrained first
@@ -102,10 +98,6 @@ FrontierEngine::FrontierEngine(const soc::Soc& soc, FrontierOptions options)
   digest_ = soc::digest_hex(soc_);
   fingerprint_ = packing_fingerprint(options_.packing);
   names_ = mswrap::core_names(soc_.analog_cores());
-  for (const soc::AnalogCore& core : soc_.analog_cores()) {
-    max_analog_width_ = std::max(max_analog_width_, core.tam_width());
-  }
-  peak_test_power_ = soc_.peak_test_power();
 
   // --- Stage 1: width-independent combination work, done exactly
   // once (enumeration, Eq. 3 prelims, shape groups, cache keys). ---
@@ -134,7 +126,179 @@ FrontierEngine::FrontierEngine(const soc::Soc& soc, FrontierOptions options)
   }
 }
 
+/// Stage 2 of the pipeline for one (width, budget) cell: resolves
+/// partition makespans from the current store, then the replan baseline
+/// store (clean partitions only), then one parallel fan-out of fresh
+/// packs over the misses.  Baseline reads and fresh packs alike are
+/// recorded under the current digest — the splice that makes one flush
+/// materialize an up-to-date store.  Lookups read the stores' open-time
+/// snapshots and the fan-out is deterministic per jobs, so resolution
+/// order never changes results.
+struct FrontierEngine::Cell {
+  /// Resolves the all-share T_max every cost normalizes by.
+  Cell(const FrontierEngine& engine, int width, double max_power,
+       bool trust_cache);
+
+  [[nodiscard]] ResultCache::EntryKey entry(const std::string& key) const {
+    return {width, max_power, engine.fingerprint_, key, engine.window_.cycles,
+            engine.window_.active() ? engine.window_.limit : 0.0};
+  }
+  [[nodiscard]] CostModel& model();
+  /// Current store first, then the baseline store when `reusable`
+  /// (only ever true while replanning).
+  [[nodiscard]] std::optional<Cycles> lookup(const std::string& key,
+                                             const std::string& label,
+                                             bool reusable);
+  void record(const std::string& key, const std::string& label,
+              Cycles time) const {
+    if (ResultCache* cache = engine.options_.cache) {
+      cache->record(engine.digest_, entry(key), label, time);
+    }
+  }
+  /// Fills time_of for `indices`; throws StaleCacheError when a store
+  /// value contradicts the packer.
+  void resolve(const std::vector<std::size_t>& indices);
+  /// Eq. 2 of a resolved partition.
+  [[nodiscard]] CombinationCost price(std::size_t index) const;
+
+  const FrontierEngine& engine;
+  const int width;
+  const double max_power;  ///< Resolved; never the inherit sentinel.
+  /// A peak or window budget binds, so keys use full digests.
+  const bool powered;
+  /// False disables every store read (the StaleCacheError retry).
+  const bool trust_cache;
+  /// Replan reuse permission per partition; null when not replanning.
+  const std::vector<bool>* clean = nullptr;
+  /// Built on the first fresh pack, before any fan-out: the CostModel
+  /// constructor is not safe to run concurrently.
+  std::optional<CostModel> cost_model;
+  Cycles t_max = 0;
+  std::vector<std::optional<Cycles>> time_of;
+  int cache_hits = 0;
+  int reused = 0;
+};
+
+FrontierEngine::Cell::Cell(const FrontierEngine& engine, int width,
+                           double max_power, bool trust_cache)
+    : engine(engine),
+      width(width),
+      max_power(max_power),
+      powered(max_power > 0.0 || engine.window_.active()),
+      trust_cache(trust_cache),
+      time_of(engine.space_->cells.size()) {
+  if (!engine.replan_baseline_.empty()) {
+    clean = powered ? &*engine.clean_full_ : &*engine.clean_packing_;
+  }
+  // The all-share partition covers every analog core, so its entry may
+  // be reused exactly when every partition's may.
+  const bool all_clean =
+      clean != nullptr &&
+      std::find(clean->begin(), clean->end(), false) == clean->end();
+  const std::string& key = engine.space_->all_share_key_for(powered);
+  const std::string label =
+      engine.space_->all_share.to_string(engine.names_, true);
+  if (const std::optional<Cycles> stored = lookup(key, label, all_clean)) {
+    // Loading validated test_time >= 1, so it is a usable divisor;
+    // resolve() checks it against the packer once a model exists.  It
+    // is the normalization constant, not a combination evaluation, so
+    // it counts in neither cache_hits nor reused (the paper's N).
+    t_max = *stored;
+    cache_hits = 0;
+    reused = 0;
+  } else {
+    t_max = model().t_max();
+    record(key, label, t_max);
+  }
+}
+
+CostModel& FrontierEngine::Cell::model() {
+  if (!cost_model.has_value()) {
+    const FrontierOptions& options = engine.options_;
+    PlanningProblem problem;
+    problem.soc = &engine.soc_;
+    problem.tam_width = width;
+    problem.weights = options.weights;
+    problem.area_model = options.area_model;
+    problem.policy = options.policy;
+    problem.enumeration = options.enumeration;
+    problem.packing = options.packing;
+    problem.packing.pareto_hint = engine.pareto_tables_;
+    problem.packing.max_power = max_power;
+    problem.packing.window_cycles = engine.window_.cycles;
+    problem.packing.window_limit =
+        engine.window_.active() ? engine.window_.limit : 0.0;
+    cost_model.emplace(problem);
+  }
+  return *cost_model;
+}
+
+std::optional<Cycles> FrontierEngine::Cell::lookup(const std::string& key,
+                                                   const std::string& label,
+                                                   bool reusable) {
+  ResultCache* cache = engine.options_.cache;
+  if (cache == nullptr || !trust_cache) return std::nullopt;
+  const ResultCache::EntryKey at = entry(key);
+  if (std::optional<Cycles> hit = cache->lookup(engine.digest_, at)) {
+    ++cache_hits;
+    return hit;
+  }
+  if (!reusable) return std::nullopt;
+  if (std::optional<Cycles> hit =
+          cache->lookup(engine.replan_baseline_, at)) {
+    cache->record(engine.digest_, at, label, *hit);  // the splice
+    ++reused;
+    return hit;
+  }
+  return std::nullopt;
+}
+
+void FrontierEngine::Cell::resolve(const std::vector<std::size_t>& indices) {
+  const std::vector<PartitionCell>& cells = engine.space_->cells;
+  std::vector<std::size_t> misses;
+  for (const std::size_t index : indices) {
+    if (time_of[index].has_value()) continue;
+    const PartitionCell& cell = cells[index];
+    const std::optional<Cycles> hit =
+        lookup(cell.key_for(powered), cell.evaluation.label,
+               clean != nullptr && (*clean)[index]);
+    if (!hit.has_value()) {
+      misses.push_back(index);
+      continue;
+    }
+    // A stored time above the baseline contradicts the packer's
+    // serialized-fallback guarantee: the store is stale for this cell.
+    if (*hit > t_max) throw StaleCacheError{};
+    time_of[index] = *hit;
+  }
+  if (misses.empty()) return;
+  CostModel& fresh = model();
+  // A stored T_max that disagrees with a fresh pack makes every stored
+  // value of this cell suspect, including ones already consumed by
+  // representative/elimination decisions: restart without the stores.
+  if (fresh.t_max() != t_max) throw StaleCacheError{};
+  std::vector<Cycles> packed(misses.size());
+  parallel_for(misses.size(), engine.options_.jobs, [&](std::size_t i) {
+    packed[i] =
+        fresh.evaluate(cells[misses[i]].evaluation.partition).test_time;
+  });
+  for (std::size_t i = 0; i < misses.size(); ++i) {
+    const PartitionCell& cell = cells[misses[i]];
+    time_of[misses[i]] = packed[i];
+    record(cell.key_for(powered), cell.evaluation.label, packed[i]);
+  }
+}
+
+CombinationCost FrontierEngine::Cell::price(std::size_t index) const {
+  const mswrap::SharingEvaluation& e = engine.space_->cells[index].evaluation;
+  return plan::price(e.partition, e.label, e.area_cost, *time_of[index],
+                     t_max, engine.options_.weights);
+}
+
 FrontierPoint FrontierEngine::solve_point(int width, double max_power) {
+  // An unpackable cell fails here, before any store lookup, with
+  // schedule_soc's own text; run_grid turns the throw into its point.
+  tam::require_packable(soc_, width, max_power);
   try {
     return solve_point_attempt(width, max_power, /*trust_cache=*/true);
   } catch (const StaleCacheError&) {
@@ -154,110 +318,26 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
   const Clock::time_point started = Clock::now();
   FrontierPoint point = FrontierPoint::cell(width, max_power, window_);
   point.total_combinations = static_cast<int>(space_->cells.size());
+  Cell cell(*this, width, max_power, trust_cache);
 
-  if (width < 1) {
-    point.error = "TAM width must be >= 1";
-    point.wall_ms = elapsed_ms(started);
-    return point;
-  }
-  if (max_analog_width_ > width) {
-    point.error = kTooNarrow;
-    point.wall_ms = elapsed_ms(started);
-    return point;
-  }
-  if (max_power > 0.0 && peak_test_power_ > max_power) {
-    point.error = kTooHot;
-    point.wall_ms = elapsed_ms(started);
-    return point;
-  }
-
-  std::optional<CostModel> model;
-  const auto ensure_model = [&]() -> CostModel& {
-    if (!model.has_value()) {
-      PlanningProblem problem;
-      problem.soc = &soc_;
-      problem.tam_width = width;
-      problem.weights = options_.weights;
-      problem.area_model = options_.area_model;
-      problem.policy = options_.policy;
-      problem.enumeration = options_.enumeration;
-      problem.packing = options_.packing;
-      problem.packing.pareto_hint = pareto_tables_;
-      // Already resolved against the SOC; never the inherit sentinel.
-      problem.packing.max_power = max_power;
-      problem.packing.window_cycles = window_.cycles;
-      problem.packing.window_limit = window_.active() ? window_.limit : 0.0;
-      model.emplace(problem);
+  bool have_best = false;
+  const auto consider = [&](std::size_t index) {
+    CombinationCost cost = cell.price(index);
+    if (!have_best || cost.total < point.best.total) {
+      point.best = std::move(cost);
+      have_best = true;
     }
-    return *model;
-  };
-
-  // --- Stage 2: digest-keyed makespan resolution for this cell.
-  // When replanning, the budget class picks which digest flavor's
-  // reuse permissions apply: constrained packs observe power
-  // annotations, unconstrained ones provably cannot.
-  const std::vector<bool>* clean = nullptr;
-  if (!replan_baseline_.empty()) {
-    clean = max_power > 0.0 || window_.active() ? &*clean_full_
-                                                : &*clean_packing_;
-  }
-  PartitionEvaluator evaluator(
-      *space_, options_.cache, digest_, replan_baseline_, fingerprint_,
-      width, max_power, window_.cycles,
-      window_.active() ? window_.limit : 0.0, trust_cache, clean,
-      options_.jobs);
-
-  // T_max: the all-share baseline every cost normalizes by.
-  bool t_max_from_store = false;
-  const Cycles t_max = evaluator.begin_cell(
-      [&]() -> Cycles { return ensure_model().t_max(); },
-      space_->all_share.to_string(names_, true), &t_max_from_store);
-
-  // Uniform cost construction for stored and freshly-packed times —
-  // the exact expressions CostModel::evaluate uses, so both paths (and
-  // therefore frontier vs per-width optimizer runs) are bit-identical.
-  const auto make_cost = [&](const PartitionCell& cell,
-                             Cycles test_time) -> CombinationCost {
-    CombinationCost cost;
-    cost.partition = cell.evaluation.partition;
-    cost.label = cell.evaluation.label;
-    cost.test_time = test_time;
-    check_invariant(cost.test_time <= t_max,
-                    "partition " + cost.label +
-                        " packed worse than the all-share baseline");
-    cost.c_time = 100.0 * static_cast<double>(test_time) /
-                  static_cast<double>(t_max);
-    cost.c_area = cell.evaluation.area_cost;
-    cost.total = options_.weights.time * cost.c_time +
-                 options_.weights.area * cost.c_area;
-    return cost;
   };
 
   // Pruning decisions are made BEFORE each resolve() fan-out, against
   // thresholds fixed serially, so jobs never changes results or
   // counts.
-  const auto resolve = [&](const std::vector<std::size_t>& indices) {
-    evaluator.resolve(indices, [&]() -> CostModel& {
-      return ensure_model();
-    });
-  };
-
-  bool have_best = false;
-  const auto consider = [&](const CombinationCost& cost) {
-    if (!have_best || cost.total < point.best.total) {
-      point.best = cost;
-      have_best = true;
-    }
-  };
-
   const std::vector<PartitionCell>& cells = space_->cells;
   if (options_.exhaustive) {
     std::vector<std::size_t> everything(cells.size());
     for (std::size_t i = 0; i < everything.size(); ++i) everything[i] = i;
-    resolve(everything);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      consider(make_cost(cells[i], *evaluator.time(i)));
-    }
+    cell.resolve(everything);
+    for (std::size_t i = 0; i < cells.size(); ++i) consider(i);
   } else {
     // --- Fig. 3 lines 9-13: evaluate group representatives. ---
     std::vector<std::size_t> reps;
@@ -265,12 +345,11 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
     for (const PartitionGroup& group : space_->groups) {
       reps.push_back(group.representative);
     }
-    resolve(reps);
+    cell.resolve(reps);
     std::vector<double> rep_total(space_->groups.size());
     double min_rep = std::numeric_limits<double>::infinity();
     for (std::size_t g = 0; g < space_->groups.size(); ++g) {
-      const std::size_t rep = space_->groups[g].representative;
-      rep_total[g] = make_cost(cells[rep], *evaluator.time(rep)).total;
+      rep_total[g] = cell.price(space_->groups[g].representative).total;
       min_rep = std::min(min_rep, rep_total[g]);
     }
 
@@ -291,13 +370,11 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
     for (std::size_t g = 0; g < space_->groups.size(); ++g) {
       if (eliminated[g]) continue;
       for (const std::size_t index : space_->groups[g].members) {
-        if (evaluator.time(index).has_value()) continue;  // representative
+        if (cell.time_of[index].has_value()) continue;  // representative
         const Cycles time_lb = std::max(cells[index].analog_lb, digital_lb);
-        const double total_lb =
-            options_.weights.time * (100.0 * static_cast<double>(time_lb) /
-                                     static_cast<double>(t_max)) +
-            options_.weights.area * cells[index].evaluation.area_cost;
-        if (total_lb > min_rep) {
+        if (options_.weights.total(c_time(time_lb, cell.t_max),
+                                   cells[index].evaluation.area_cost) >
+            min_rep) {
           pruned[index] = true;
           ++point.pruned;
           continue;
@@ -305,28 +382,27 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
         survivors.push_back(index);
       }
     }
-    resolve(survivors);
+    cell.resolve(survivors);
 
     // Reduce in exactly optimize_cost_heuristic's order: groups in
     // shape order; an eliminated group's representative still
     // competes; surviving members in enumeration order.
     for (std::size_t g = 0; g < space_->groups.size(); ++g) {
-      const std::size_t rep = space_->groups[g].representative;
       if (eliminated[g]) {
-        consider(make_cost(cells[rep], *evaluator.time(rep)));
+        consider(space_->groups[g].representative);
         continue;
       }
       for (const std::size_t index : space_->groups[g].members) {
-        if (pruned[index]) continue;
-        consider(make_cost(cells[index], *evaluator.time(index)));
+        if (!pruned[index]) consider(index);
       }
     }
   }
 
-  point.t_max = t_max;
-  point.evaluations = model.has_value() ? model->tam_runs() : 0;
-  point.cache_hits = evaluator.cache_hits();
-  point.reused = evaluator.reused();
+  point.t_max = cell.t_max;
+  point.evaluations =
+      cell.cost_model.has_value() ? cell.cost_model->tam_runs() : 0;
+  point.cache_hits = cell.cache_hits;
+  point.reused = cell.reused;
   point.wall_ms = elapsed_ms(started);
   return point;
 }

@@ -1,12 +1,11 @@
 #include "msoc/plan/pipeline.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <map>
 
 #include "msoc/common/error.hpp"
 #include "msoc/common/logging.hpp"
-#include "msoc/common/parallel.hpp"
+#include "msoc/plan/result_cache.hpp"
 #include "msoc/soc/digest.hpp"
 
 namespace msoc::plan {
@@ -32,8 +31,7 @@ PartitionSpace::PartitionSpace(const soc::Soc& soc,
       continue;
     }
     PartitionCell cell;
-    cell.prelim = weights.time * e.analog_lb_normalized +
-                  weights.area * e.area_cost;
+    cell.prelim = weights.total(e.analog_lb_normalized, e.area_cost);
     cell.analog_lb = e.analog_lb_cycles;
     cell.key_full =
         partition_key(soc.analog_cores(), e.partition, /*powered=*/true);
@@ -111,140 +109,6 @@ std::vector<bool> PartitionSpace::classify_clean(
     clean[i] = cell_clean;
   }
   return clean;
-}
-
-// --- Stage 2: digest-keyed makespan resolution. ---
-
-PartitionEvaluator::PartitionEvaluator(
-    const PartitionSpace& space, ResultCache* cache,
-    const std::string& digest, const std::string& baseline_digest,
-    const std::string& fingerprint, int width, double max_power,
-    Cycles window_cycles, double window_limit, bool trust_cache,
-    const std::vector<bool>* clean, int jobs)
-    : space_(space),
-      cache_(cache),
-      digest_(digest),
-      baseline_digest_(baseline_digest),
-      fingerprint_(fingerprint),
-      width_(width),
-      max_power_(max_power),
-      window_cycles_(window_cycles),
-      window_limit_(window_limit),
-      trust_cache_(trust_cache),
-      clean_(clean),
-      jobs_(jobs),
-      time_of_(space.cells.size()) {}
-
-std::optional<Cycles> PartitionEvaluator::lookup(const std::string& key,
-                                                 const std::string& label,
-                                                 bool cell_clean) {
-  if (cache_ == nullptr || !trust_cache_) return std::nullopt;
-  ResultCache::EntryKey entry{width_, max_power_, fingerprint_, key,
-                              window_cycles_, window_limit_};
-  if (std::optional<Cycles> hit = cache_->lookup(digest_, entry)) {
-    ++cache_hits_;
-    return hit;
-  }
-  if (baseline_digest_.empty() || !cell_clean) return std::nullopt;
-  if (std::optional<Cycles> hit = cache_->lookup(baseline_digest_, entry)) {
-    // The splice: a baseline result valid for this revision is
-    // re-recorded under the CURRENT digest, so one flush materializes
-    // a complete up-to-date store.
-    cache_->record(digest_, entry, label, *hit);
-    ++reused_;
-    return hit;
-  }
-  return std::nullopt;
-}
-
-Cycles PartitionEvaluator::begin_cell(
-    const std::function<Cycles()>& pack_t_max, const std::string& label,
-    bool* from_store) {
-  // The all-share partition contains every analog core, so its entry
-  // may be reused exactly when every cell's may (each cell also covers
-  // all cores — sharing partitions cover the whole core set).
-  const bool all_share_clean =
-      clean_ != nullptr && !clean_->empty() &&
-      std::all_of(clean_->begin(), clean_->end(), [](bool c) { return c; });
-  const std::string& key =
-      space_.all_share_key_for(max_power_, window_cycles_ > 0);
-  // t_max hits are deliberately not counted in cache_hits/reused — the
-  // baseline is the normalization constant, not a combination
-  // evaluation (matches the paper's evaluation counting).
-  const int hits = cache_hits_;
-  const int reused = reused_;
-  std::optional<Cycles> stored = lookup(key, label, all_share_clean);
-  cache_hits_ = hits;
-  reused_ = reused;
-  if (stored.has_value()) {
-    // Loading validated test_time >= 1, so the baseline is usable as a
-    // divisor; whether it is *correct* is re-checked against the
-    // packer the moment a model gets built (see resolve()).
-    t_max_ = *stored;
-    t_max_from_store_ = true;
-  } else {
-    t_max_ = pack_t_max();
-    t_max_from_store_ = false;
-    if (cache_ != nullptr) {
-      cache_->record(digest_,
-                     ResultCache::EntryKey{width_, max_power_, fingerprint_,
-                                           key, window_cycles_,
-                                           window_limit_},
-                     label, t_max_);
-    }
-  }
-  if (from_store != nullptr) *from_store = t_max_from_store_;
-  return t_max_;
-}
-
-void PartitionEvaluator::resolve(
-    const std::vector<std::size_t>& indices,
-    const std::function<CostModel&()>& model) {
-  std::vector<std::size_t> misses;
-  for (const std::size_t index : indices) {
-    if (time_of_[index].has_value()) continue;
-    const PartitionCell& cell = space_.cells[index];
-    const bool cell_clean = clean_ != nullptr && (*clean_)[index];
-    const std::optional<Cycles> hit =
-        lookup(cell.key_for(max_power_, window_cycles_ > 0),
-               cell.evaluation.label, cell_clean);
-    // A stored time above the baseline contradicts the packer's
-    // serialized-fallback guarantee: the store is stale for this
-    // width, so stop trusting it and recompute.
-    if (hit.has_value() && *hit > t_max_) throw StaleCacheError{};
-    if (hit.has_value()) {
-      time_of_[index] = *hit;
-      continue;
-    }
-    misses.push_back(index);
-  }
-  if (misses.empty()) return;
-  CostModel& the_model = model();
-  if (t_max_from_store_ && the_model.t_max() != t_max_) {
-    // The stored baseline disagrees with a fresh pack: every stored
-    // value for this width is suspect, including ones already consumed
-    // by representative/elimination decisions — restart the width
-    // without the stores.
-    throw StaleCacheError{};
-  }
-  std::vector<Cycles> packed(misses.size());
-  parallel_for(misses.size(), jobs_, [&](std::size_t i) {
-    packed[i] =
-        the_model.evaluate(space_.cells[misses[i]].evaluation.partition)
-            .test_time;
-  });
-  for (std::size_t i = 0; i < misses.size(); ++i) {
-    time_of_[misses[i]] = packed[i];
-    if (cache_ != nullptr) {
-      const PartitionCell& cell = space_.cells[misses[i]];
-      cache_->record(
-          digest_,
-          ResultCache::EntryKey{width_, max_power_, fingerprint_,
-                                cell.key_for(max_power_, window_cycles_ > 0),
-                                window_cycles_, window_limit_},
-          cell.evaluation.label, packed[i]);
-    }
-  }
 }
 
 }  // namespace msoc::plan

@@ -203,7 +203,8 @@ PlanOutcome execute_plan(const PlanRequest& request, const soc::Soc& soc) {
   series.algorithm = options.exhaustive ? "exhaustive" : "cost_optimizer";
   series.w_time = options.weights.time;
   FrontierPoint& point = series.points.emplace_back(FrontierPoint::cell(
-      problem.tam_width, tam::effective_max_power(soc, problem.packing),
+      problem.tam_width,
+      tam::effective_max_power(soc, problem.packing.max_power),
       tam::effective_power_window(soc, problem.packing)));
   point.best = result.best;
   point.t_max = model.t_max();

@@ -114,7 +114,7 @@ SweepResult run_sweep(const SweepConfig& config) {
     if (cache != nullptr) cache->open(soc::digest_hex(soc), soc);
     std::vector<double>& budgets = result.budgets.emplace_back();
     for (const double budget : frontier.max_powers) {
-      budgets.push_back(budget < 0.0 ? soc.max_power() : budget);
+      budgets.push_back(tam::effective_max_power(soc, budget));
     }
   }
   // The baseline store is loaded serially too; every series diffs

@@ -28,7 +28,8 @@ void DigitalCore::validate() const {
   for (int len : scan_chain_lengths) {
     check(len > 0, "scan chain lengths must be positive");
   }
-  check(inputs + outputs + bidirs > 0 || !scan_chain_lengths.empty(),
+  // Not a sum: counts up to INT_MAX each would overflow it.
+  check(inputs > 0 || outputs > 0 || bidirs > 0 || !scan_chain_lengths.empty(),
         "core has neither I/O nor scan");
 }
 

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "msoc/common/error.hpp"
 #include "msoc/common/format.hpp"
@@ -48,6 +49,18 @@ class Parser {
     return *v;
   }
 
+  /// expect_int narrowed to T: a value T cannot hold fails at its own
+  /// line instead of wrapping (a negative Cycles once became 2^64 - 5).
+  template <typename T>
+  T expect_narrow(std::string_view field, const char* what) const {
+    const long long v = expect_int(field, what);
+    if (!std::in_range<T>(v)) {
+      fail(std::string(what) + " out of range, got '" + std::string(field) +
+           "'");
+    }
+    return static_cast<T>(v);
+  }
+
   double expect_double(std::string_view field, const char* what) const {
     const auto v = parse_double(field);
     if (!v) fail(std::string("expected number for ") + what + ", got '" +
@@ -83,7 +96,7 @@ class Parser {
       module_line_ = line_;
       if (tok.size() < 2) fail("Module needs an id");
       digital_ = DigitalCore{};
-      digital_->id = static_cast<int>(expect_int(tok[1], "module id"));
+      digital_->id = expect_narrow<int>(tok[1], "module id");
       digital_->name = tok.size() >= 3 ? std::string(tok[2])
                                        : "module_" + std::string(tok[1]);
       in_digital_ = true;
@@ -127,7 +140,7 @@ class Parser {
       digital_->scan_chain_lengths.clear();
       for (std::size_t i = 1; i < tok.size(); ++i) {
         digital_->scan_chain_lengths.push_back(
-            static_cast<int>(expect_int(tok[i], "scan chain length")));
+            expect_narrow<int>(tok[i], "scan chain length"));
       }
     } else if (key == "test") {
       parse_test(tok);
@@ -140,7 +153,7 @@ class Parser {
                      int DigitalCore::* member) {
     if (!digital_) fail("digital field outside a Module section");
     if (tok.size() != 2) fail("field takes exactly one value");
-    (*digital_).*member = static_cast<int>(expect_int(tok[1], "field"));
+    (*digital_).*member = expect_narrow<int>(tok[1], "field");
   }
 
   void parse_test(const std::vector<std::string_view>& tok) {
@@ -159,11 +172,11 @@ class Parser {
       else if (k == "fhigh") t.f_high = Hertz(expect_double(v, "FHigh"));
       else if (k == "fsample") t.f_sample = Hertz(expect_double(v, "FSample"));
       else if (k == "cycles") {
-        t.cycles = static_cast<Cycles>(expect_int(v, "Cycles"));
+        t.cycles = expect_narrow<Cycles>(v, "Cycles");
       } else if (k == "width") {
-        t.tam_width = static_cast<int>(expect_int(v, "Width"));
+        t.tam_width = expect_narrow<int>(v, "Width");
       } else if (k == "resolution") {
-        t.resolution_bits = static_cast<int>(expect_int(v, "Resolution"));
+        t.resolution_bits = expect_narrow<int>(v, "Resolution");
       } else if (k == "power") {
         t.power = expect_double(v, "Power");
         if (t.power < 0.0) fail("Power must be non-negative");
@@ -231,7 +244,9 @@ void write_soc(std::ostream& out, const Soc& soc) {
   // (6 digits) silently truncated fractional frequencies, breaking
   // parse(emit(soc)) == soc and with it soc::digest() stability.
   out << "# msoc test-planning SOC description (ITC'02-style)\n";
-  out << "SocName " << soc.name() << '\n';
+  // A nameless SOC (no SocName line) must not write a bare "SocName",
+  // which the parser rejects.
+  if (!soc.name().empty()) out << "SocName " << soc.name() << '\n';
   // Power fields are emitted only when set: an unconstrained SOC writes
   // the exact pre-power dialect, so golden files and digests survive.
   if (soc.power_constrained()) {

@@ -142,10 +142,16 @@ struct PackingOptions {
   const ParetoTables* pareto_hint = nullptr;
 };
 
-/// The power budget a pack over `soc` with `options` actually enforces
-/// (resolving the options' inherit-from-SOC default); 0 = unlimited.
-[[nodiscard]] double effective_max_power(const soc::Soc& soc,
-                                         const PackingOptions& options);
+/// The power budget a pack over `soc` actually enforces for a requested
+/// `budget` (PackingOptions::max_power's convention: < 0 inherits
+/// Soc::max_power); 0 = unlimited.
+[[nodiscard]] double effective_max_power(const soc::Soc& soc, double budget);
+
+/// Throws the InfeasibleError schedule_soc raises before packing any
+/// partition of `soc`, in this order: `tam_width` below 1, an analog
+/// core needing more than `tam_width` wires, a single test hotter than
+/// the effective budget `max_power` (0 = unlimited).
+void require_packable(const soc::Soc& soc, int tam_width, double max_power);
 
 /// The sliding-window budget a pack over `soc` with `options` actually
 /// enforces (inherit resolved); inactive = unwindowed.  Throws
@@ -155,9 +161,8 @@ struct PackingOptions {
 
 /// Schedules all tests of `soc` on a `tam_width`-wire TAM.
 /// `partition` groups the analog cores into shared wrappers.  Throws
-/// InfeasibleError when an analog wrapper needs more wires than
-/// `tam_width`, or when any single test dissipates more than the
-/// effective power budget (no schedule could ever admit it).
+/// require_packable's InfeasibleError before anything else, then one
+/// for a malformed partition or a test no power window can admit.
 [[nodiscard]] Schedule schedule_soc(const soc::Soc& soc, int tam_width,
                                     const AnalogPartition& partition,
                                     const PackingOptions& options = {});

@@ -496,10 +496,22 @@ ParetoTables compute_pareto_tables(const soc::Soc& soc, int max_width) {
   return tables;
 }
 
-double effective_max_power(const soc::Soc& soc,
-                           const PackingOptions& options) {
-  if (options.max_power < 0.0) return soc.max_power();
-  return options.max_power;
+double effective_max_power(const soc::Soc& soc, double budget) {
+  return budget < 0.0 ? soc.max_power() : budget;
+}
+
+void require_packable(const soc::Soc& soc, int tam_width, double max_power) {
+  require(tam_width >= 1, "TAM width must be >= 1");
+  int widest = 0;
+  for (const soc::AnalogCore& core : soc.analog_cores()) {
+    widest = std::max(widest, core.tam_width());
+  }
+  require(widest <= tam_width,
+          "analog wrapper needs more TAM wires than the SOC has");
+  // A single test hotter than the whole budget can never be admitted —
+  // reject up front so the placement fixpoint always terminates.
+  require(max_power <= 0.0 || soc.peak_test_power() <= max_power,
+          "test power exceeds the SOC power budget");
 }
 
 soc::PowerWindow effective_power_window(const soc::Soc& soc,
@@ -532,12 +544,8 @@ AnalogPartition all_share_partition(const soc::Soc& soc) {
 Schedule schedule_soc(const soc::Soc& soc, int tam_width,
                       const AnalogPartition& partition,
                       const PackingOptions& options) {
-  require(tam_width >= 1, "TAM width must be >= 1");
-  const double max_power = effective_max_power(soc, options);
-  // A single test hotter than the whole budget can never be admitted —
-  // reject up front so the placement fixpoint always terminates.
-  require(max_power <= 0.0 || soc.peak_test_power() <= max_power,
-          "test power exceeds the SOC power budget");
+  const double max_power = effective_max_power(soc, options.max_power);
+  require_packable(soc, tam_width, max_power);
   const soc::PowerWindow window = effective_power_window(soc, options);
 
   // --- Validate the partition covers each analog core exactly once. ---
@@ -603,8 +611,6 @@ Schedule schedule_soc(const soc::Soc& soc, int tam_width,
       }
       item.width = std::max(item.width, core.tam_width());
     }
-    require(item.width <= tam_width,
-            "analog wrapper needs more TAM wires than the SOC has");
     std::sort(item.rects.begin(), item.rects.end(), rect_before);
     groups.push_back(std::move(item));
   }

@@ -522,6 +522,53 @@ TEST(FrontierPower, BudgetBelowPeakTestPowerIsErrorPointNotFatal) {
   EXPECT_EQ(result.evaluations, 0);
 }
 
+TEST(FrontierPower, WarmInfeasibleCellsReportTheColdText) {
+  // The engine rejects an unpackable cell before any store lookup, so a
+  // warm run must fail exactly the cells a cold one does, with
+  // schedule_soc's own text and no evaluation.
+  const soc::Soc soc = powered_d695m(2.0);
+  const std::string dir = fresh_dir("frontier_warm_infeasible");
+  FrontierOptions options = d695m_options({0, 8, 32});
+  options.max_powers = {0.0, soc.peak_test_power() * 0.5};
+  ResultCache cold_cache(dir);
+  options.cache = &cold_cache;
+  const FrontierResult cold = FrontierEngine(soc, options).run();
+  cold_cache.flush();
+  ResultCache warm_cache(dir);
+  options.cache = &warm_cache;
+  const FrontierResult warm = FrontierEngine(soc, options).run();
+
+  ASSERT_EQ(warm.points.size(), 6u);
+  ASSERT_EQ(cold.points.size(), warm.points.size());
+  int infeasible = 0;
+  for (std::size_t i = 0; i < warm.points.size(); ++i) {
+    const FrontierPoint& point = warm.points[i];
+    SCOPED_TRACE("width " + std::to_string(point.tam_width) + " budget " +
+                 std::to_string(point.max_power));
+    EXPECT_EQ(point.error, cold.points[i].error);
+    EXPECT_EQ(point.ok(), point.tam_width == 32 && point.max_power == 0.0);
+    if (point.ok()) {
+      EXPECT_EQ(point.evaluations, 0);
+      EXPECT_GT(point.cache_hits, 0);
+      continue;
+    }
+    ++infeasible;
+    EXPECT_EQ(point.evaluations, 0);
+    EXPECT_EQ(cold.points[i].evaluations, 0);
+    EXPECT_EQ(point.cache_hits, 0);
+    tam::PackingOptions packing;
+    packing.max_power = point.max_power;
+    try {
+      (void)tam::schedule_soc(soc, point.tam_width,
+                              tam::all_share_partition(soc), packing);
+      ADD_FAILURE() << "schedule_soc packed an infeasible cell";
+    } catch (const InfeasibleError& e) {
+      EXPECT_EQ(point.error, e.what());
+    }
+  }
+  EXPECT_EQ(infeasible, 5);
+}
+
 TEST(FrontierPower, NonFiniteBudgetsRejectedAtConstruction) {
   // NaN passes every sign test (NaN < 0.0 is false), so without an
   // isfinite gate a NaN budget would reach the cache's EntryKey and

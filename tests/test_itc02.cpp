@@ -159,6 +159,38 @@ TEST(Itc02Parse, RejectsZeroPatternsAtTheirLine) {
   }
 }
 
+TEST(Itc02Parse, RejectsIntegersTheFieldCannotHoldAtTheirLine) {
+  // Each value once narrowed silently: -5 cycles wrapped to 2^64 - 5,
+  // the others to their low 32 bits (4, 10, 1 and 8).
+  const std::string module = "SocName x\nModule 1 m\n";
+  const std::string analog = "SocName x\nAnalogModule A\n  Test G FLow 0 "
+                             "FHigh 0 FSample 10000 ";
+  for (const std::string& text :
+       {module + "  Inputs 4294967300\n  Patterns 1\n",
+        module + "  ScanChains 8 4294967306\n  Inputs 1\n  Patterns 1\n",
+        analog + "Cycles -5 Width 1 Resolution 8\nModule 2 n\n",
+        analog + "Cycles 50 Width 4294967297 Resolution 8\n",
+        analog + "Cycles 50 Width 1 Resolution 4294967304\n"}) {
+    const ParseError e = parse_error(text);
+    EXPECT_EQ(e.line(), 3) << text;
+    EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+        << e.what();
+  }
+  // INT_MAX itself still parses, in every I/O field at once.
+  const Soc widest = parse_soc_string(
+      module + "  Inputs 2147483647\n  Outputs 2147483647\n"
+               "  Bidirs 2147483647\n  Patterns 1\n");
+  EXPECT_EQ(widest.digital_cores()[0].bidirs, 2147483647);
+}
+
+TEST(Itc02RoundTrip, NamelessSocWritesNoSocNameLine) {
+  // A bare "SocName" is a parse error, so the writer must omit it.
+  const Soc soc = parse_soc_string("Module 1 m\n  Inputs 1\n  Patterns 1\n");
+  const std::string text = write_soc_string(soc);
+  EXPECT_EQ(text.find("SocName"), std::string::npos) << text;
+  EXPECT_EQ(write_soc_string(parse_soc_string(text)), text);
+}
+
 TEST(Itc02RoundTrip, WriteThenParseIsIdentity) {
   const Soc original = parse_soc_string(kSample);
   const std::string text = write_soc_string(original);

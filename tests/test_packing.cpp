@@ -364,9 +364,9 @@ TEST(PackingPower, OptionsOverrideBeatsTheSocDeclaration) {
   const Schedule unconstrained =
       schedule_soc(s, 32, singleton_partition(s), options);
   EXPECT_EQ(unconstrained.max_power, 0.0);
-  EXPECT_EQ(effective_max_power(s, options), 0.0);
+  EXPECT_EQ(effective_max_power(s, options.max_power), 0.0);
   options.max_power = -1.0;
-  EXPECT_EQ(effective_max_power(s, options), s.max_power());
+  EXPECT_EQ(effective_max_power(s, options.max_power), s.max_power());
 }
 
 TEST(PackingPower, TightBudgetCanOnlyLengthenTheAllShareBaseline) {
