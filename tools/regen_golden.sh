@@ -6,8 +6,9 @@
 #   * a power-constrained frontier over tests/data/d695m_power.soc
 #     (v2 schema: 3 budgets x 2 widths) and a sweep over duplicate,
 #     unsorted width and budget rungs;
-#   * a single d695m plan at width 32: its one-case sweep document and
-#     its schedule CSV;
+#   * single plans, each as its one-case sweep document and its
+#     schedule CSV: d695m at width 32, a powered d695m_power.soc plan
+#     whose bound prunes members (--epsilon 5), and an exhaustive one;
 #   * a sliding-window frontier and sweep (v4 schemas);
 #   * a cold cached sweep (v3 schema, fresh cache directory);
 #   * d695m_power.soc replanned from a d695m store, frontier and sweep
@@ -81,6 +82,10 @@ golden d695m_power_frontier 0 --frontier --soc "$data/d695m_power.soc" \
 golden d695m_power_rungs_sweep 0 --sweep --soc "$data/d695m_power.soc" \
   --widths 32,16,32 --max-power 400,0,400
 golden d695m_plan 0 --bench d695m --width 32
+golden d695m_power_pruned_plan 0 --soc "$data/d695m_power.soc" --width 16 \
+  --max-power 400 --epsilon 5
+golden d695m_exhaustive_plan 0 --bench d695m --exhaustive --width 24 \
+  --wt 0.25
 golden d695m_power_window_frontier 0 --frontier \
   --soc "$data/d695m_power.soc" --widths 16,32 --power-window 4096:400
 golden d695m_power_window_sweep 0 --sweep \
