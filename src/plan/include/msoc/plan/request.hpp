@@ -45,7 +45,8 @@ struct PlanRequest {
   /// One TAM width: the single plan's width (default 32), or a one-rung
   /// ladder for sweep/frontier.
   std::optional<std::int64_t> width;
-  /// Width ladder for sweep/frontier (default 16,24,32,48,64).
+  /// Width ladder for sweep/frontier (default 16,24,32,48,64); a plan
+  /// request rejects it.
   std::optional<std::vector<std::int64_t>> widths;
   /// Power budgets (0 = unconstrained; absent = the SOC's MaxPower).
   std::optional<std::vector<double>> max_powers;
@@ -84,7 +85,7 @@ struct PlanRequest {
   /// p93791m (plan, frontier) / p93791m and d695m (sweep).
   [[nodiscard]] std::vector<std::string> bench_names() const;
 
-  /// The width ladder of a sweep or frontier: widths, {width}, or the
+  /// The widths to solve: widths, {width}, {32} for a plan, or the
   /// default 16,24,32,48,64.
   [[nodiscard]] std::vector<int> width_ladder() const;
 
@@ -92,16 +93,18 @@ struct PlanRequest {
 };
 
 /// What execute() produced: the document and CSV a daemon reply
-/// carries, plus the typed result behind them.
+/// carries, plus the typed result behind them.  Every op runs through
+/// FrontierEngine; a plan request is a cacheless one-case sweep whose
+/// cell reports the paper's N (packs plus members the bound skipped).
 struct PlanOutcome {
   std::string document;  ///< msoc-frontier-v* or msoc-sweep-v* JSON.
   /// Result-table CSV (frontier, sweep) or schedule CSV (plan).
   std::string csv;
   std::optional<FrontierResult> frontier;  ///< Frontier requests.
-  /// Sweep requests, and plan requests as a one-case sweep (the single
-  /// plan's document is the sweep schema with one row).
+  /// Sweep requests, and plan requests as that one-case sweep.
   std::optional<SweepResult> sweep;
-  std::optional<tam::Schedule> schedule;  ///< Plan requests.
+  /// Plan requests: the winner packed once more.
+  std::optional<tam::Schedule> schedule;
 };
 
 /// Validates and runs a planning request over `socs` (one SOC for plan

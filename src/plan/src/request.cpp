@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -13,7 +12,6 @@
 #include "msoc/common/journal.hpp"
 #include "msoc/common/json.hpp"
 #include "msoc/common/parallel.hpp"
-#include "msoc/plan/optimizer.hpp"
 #include "msoc/plan/result_cache.hpp"
 #include "msoc/soc/benchmarks.hpp"
 #include "msoc/tam/packing.hpp"
@@ -120,8 +118,7 @@ std::string serialize(const PlanRequest& r, bool hash_soc_text) {
   return out.str();
 }
 
-/// The engine options a request asks for; the single plan reads its
-/// weights, budgets and algorithm from them too.
+/// The engine options a plan, sweep or frontier request asks for.
 FrontierOptions frontier_options(const PlanRequest& request,
                                  ResultCache* cache) {
   FrontierOptions options;
@@ -175,59 +172,30 @@ PlanOutcome execute_sweep(const PlanRequest& request,
 }
 
 PlanOutcome execute_plan(const PlanRequest& request, const soc::Soc& soc) {
-  const FrontierOptions options = frontier_options(request, nullptr);
-  PlanningProblem problem;
-  problem.soc = &soc;
-  problem.tam_width = static_cast<int>(request.width.value_or(32));
-  problem.weights = options.weights;
-  problem.packing = options.packing;
-  problem.packing.max_power = options.max_powers.front();
+  // A single plan is the one-case sweep: one SOC, weight, width and
+  // budget, run cacheless through the engine.
+  SweepConfig config;
+  config.socs = {soc};
+  config.frontier = frontier_options(request, nullptr);
+  config.time_weights = {config.frontier.weights.time};
+  SweepResult single = run_sweep(config);
+  FrontierPoint& point = single.series.front().points.front();
+  if (!point.ok()) throw InfeasibleError(point.error);
+  // The paper's N: Fig. 3 packs every member the engine's bound skips.
+  point.evaluations += point.pruned;
+  point.pruned = 0;
+  // Requested threads capped at the combination count, never 0.
+  const int jobs = config.frontier.jobs;
+  single.jobs = std::min(jobs <= 0 ? hardware_jobs() : jobs,
+                         std::max(point.total_combinations, 1));
 
-  CostModel model(problem);
-  OptimizationResult result;
-  const auto started = std::chrono::steady_clock::now();
-  if (options.exhaustive) {
-    result = optimize_exhaustive(model, options.jobs);
-  } else {
-    HeuristicOptions heuristic;
-    heuristic.epsilon = options.epsilon;
-    heuristic.jobs = options.jobs;
-    result = optimize_cost_heuristic(model, heuristic);
-  }
-
-  // A single plan is documented as a one-case sweep.  Its cell keeps
-  // the optimizer's evaluation count (the paper's N): the frontier
-  // engine's pruning would report fewer.
-  FrontierResult series;
-  series.soc_name = soc.name();
-  series.algorithm = options.exhaustive ? "exhaustive" : "cost_optimizer";
-  series.w_time = options.weights.time;
-  FrontierPoint& point = series.points.emplace_back(FrontierPoint::cell(
-      problem.tam_width,
-      tam::effective_max_power(soc, problem.packing.max_power),
-      tam::effective_power_window(soc, problem.packing)));
-  point.best = result.best;
-  point.t_max = model.t_max();
-  point.evaluations = result.evaluations;
-  point.total_combinations = result.total_combinations;
-  point.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - started)
-                      .count();
-
-  SweepResult single;
-  single.widths = {point.tam_width};
-  single.budgets = {{point.max_power}};
-  single.exhaustive = options.exhaustive;
-  single.epsilon = options.epsilon;
-  // Sweep semantics: threads actually used, never 0.
-  single.jobs =
-      std::min(options.jobs <= 0 ? hardware_jobs() : options.jobs,
-               std::max(result.total_combinations, 1));
-  single.total_wall_ms = point.wall_ms;
-  single.series.push_back(std::move(series));
-
+  tam::PackingOptions packing = config.frontier.packing;
+  packing.max_power = config.frontier.max_powers.front();
   PlanOutcome outcome;
-  outcome.schedule = model.schedule_for(result.best.partition);
+  outcome.schedule = tam::schedule_soc(
+      soc, point.tam_width,
+      mswrap::to_analog_partition(soc.analog_cores(), point.best.partition),
+      packing);
   outcome.document = single.to_json();
   outcome.csv = tam::schedule_to_csv(*outcome.schedule);
   outcome.sweep = std::move(single);
@@ -310,6 +278,8 @@ void PlanRequest::validate() const {
   require(!(bench && soc_text), "soc_text and bench are mutually exclusive");
   require(!(width && widths), "width and widths are mutually exclusive");
   if (width) require_range(*width, 1, kIntMax, "width");
+  require(op != PlanOp::kPlan || !widths,
+          "a plan request takes one width, not widths");
   if (widths) {
     require(!widths->empty(), "widths needs at least one width");
     for (const std::int64_t w : *widths) {
@@ -372,7 +342,9 @@ std::vector<std::string> PlanRequest::bench_names() const {
 
 std::vector<int> PlanRequest::width_ladder() const {
   if (widths) return {widths->begin(), widths->end()};
-  if (width) return {static_cast<int>(*width)};
+  if (width || op == PlanOp::kPlan) {
+    return {static_cast<int>(width.value_or(32))};
+  }
   return {16, 24, 32, 48, 64};
 }
 

@@ -66,6 +66,15 @@ check width_wrap 1 --bench d695m --width 4294967328
 grep -qF '[1, 2147483647]' "$tmp/width_wrap.daemon.err" ||
   fail "width_wrap: message does not name the range"
 
+check plan_widths 1 --bench d695m --widths 16
+grep -q 'a plan request takes one width, not widths' \
+  "$tmp/plan_widths.daemon.err" || fail "plan_widths: unexpected message"
+
+check plan_too_narrow 1 --bench d695m --width 4
+grep -q 'analog wrapper needs more TAM wires than the SOC has' \
+  "$tmp/plan_too_narrow.daemon.err" ||
+  fail "plan_too_narrow: unexpected message"
+
 "$plan" --daemon "$sock" --shutdown > /dev/null
 wait $daemon
 exit $status

@@ -133,6 +133,30 @@ void run_differential(std::uint64_t seed, bool with_power) {
                    what + " frontier/heuristic");
   EXPECT_EQ(frontier.points[0].t_max, heuristic_model.t_max()) << what;
   EXPECT_EQ(frontier.points[0].max_power, soc.max_power()) << what;
+  // The paper's N: Fig. 3 packs every member the engine's bound skips.
+  EXPECT_EQ(frontier.points[0].evaluations + frontier.points[0].pruned,
+            heuristic.evaluations)
+      << what;
+
+  // --- Frontier bit-identity, heuristic mode with elimination slack. ---
+  HeuristicOptions slack;
+  slack.epsilon = 5.0;
+  CostModel slack_model(problem_for(soc, width));
+  const HeuristicResult slack_heuristic =
+      optimize_cost_heuristic(slack_model, slack);
+  FrontierOptions slack_options;
+  slack_options.widths = {width};
+  slack_options.epsilon = slack.epsilon;
+  FrontierEngine slack_engine(soc, slack_options);
+  const FrontierResult slack_frontier = slack_engine.run();
+  ASSERT_EQ(slack_frontier.points.size(), 1u) << what;
+  ASSERT_TRUE(slack_frontier.points[0].ok()) << what;
+  expect_same_cost(slack_frontier.points[0].best, slack_heuristic.best,
+                   what + " frontier/heuristic epsilon 5");
+  EXPECT_EQ(slack_frontier.points[0].evaluations +
+                slack_frontier.points[0].pruned,
+            slack_heuristic.evaluations)
+      << what;
 
   // --- Frontier bit-identity, exhaustive mode. ---
   FrontierOptions exhaustive_options;
@@ -144,6 +168,8 @@ void run_differential(std::uint64_t seed, bool with_power) {
   ASSERT_TRUE(exhaustive_frontier.points[0].ok()) << what;
   expect_same_cost(exhaustive_frontier.points[0].best, exhaustive.best,
                    what + " frontier/exhaustive");
+  EXPECT_EQ(exhaustive_frontier.points[0].evaluations, exhaustive.evaluations)
+      << what;
 }
 
 TEST(Differential, HeuristicNeverBeatsExhaustiveAcrossSeedLadder) {

@@ -285,7 +285,7 @@ PlanRequest random_request(std::mt19937_64& rng) {
   }
   if (coin()) {
     r.width = coin() ? kIntMax : pick(1, 128);
-  } else if (coin()) {
+  } else if (r.op != PlanOp::kPlan && coin()) {
     r.widths.emplace();
     for (std::int64_t i = pick(1, 5); i > 0; --i) {
       r.widths->push_back(coin() ? kIntMax : pick(1, 128));
@@ -366,6 +366,19 @@ TEST(PlanService, RejectsExactlyWhatValidateRejects) {
     EXPECT_FALSE(reply.at("ok").as_bool());
     EXPECT_EQ(reply.at("error").as_string(), expected);
   }
+  EXPECT_EQ(service.stats().evaluations, 0);
+}
+
+TEST(PlanService, PlanRequestWithWidthsIsRejected) {
+  // A plan solves one width: a widths ladder must not be planned at the
+  // default width as if it were absent.
+  PlanService service;
+  const JsonValue reply = reply_of(
+      service,
+      R"({"schema":"msoc-rpc-v1","op":"plan","bench":"d695m","widths":[16]})");
+  EXPECT_FALSE(reply.at("ok").as_bool());
+  EXPECT_EQ(reply.at("error").as_string(),
+            "a plan request takes one width, not widths");
   EXPECT_EQ(service.stats().evaluations, 0);
 }
 

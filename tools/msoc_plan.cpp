@@ -311,7 +311,10 @@ int run_daemon_mode(const Options& options) {
                    error.c_str());
       return -1;
     }
-    std::fprintf(stderr, "error: daemon: %s\n", error.c_str());
+    // A planning error is the executor's own text: print it as the
+    // in-process run would.
+    std::fprintf(stderr, "error: %s%s\n", planning ? "" : "daemon: ",
+                 error.c_str());
     return 1;
   }
   if (!planning) {
@@ -467,7 +470,8 @@ int report_sweep(const msoc::plan::SweepResult& result) {
 }
 
 void report_plan(const Options& options, const msoc::soc::Soc& soc,
-                 const msoc::plan::FrontierResult& series) {
+                 const msoc::plan::SweepResult& single) {
+  const msoc::plan::FrontierResult& series = single.series.front();
   const msoc::plan::FrontierPoint& p = series.points.front();
   const std::string power = power_tag(p.max_power, "; max power %g");
   char window_note[64] = "";
@@ -477,11 +481,11 @@ void report_plan(const Options& options, const msoc::soc::Soc& soc,
                   static_cast<unsigned long long>(p.window_cycles));
   }
   std::printf("SOC %s: %zu digital, %zu analog cores; TAM width %d%s%s; "
-              "w_T=%.2f w_A=%.2f; %s; jobs %lld\n",
+              "w_T=%.2f w_A=%.2f; %s; jobs %d\n",
               soc.name().c_str(), soc.digital_count(), soc.analog_count(),
               p.tam_width, power.c_str(), window_note, series.w_time,
               1.0 - series.w_time, algorithm_name(options.request),
-              static_cast<long long>(options.request.jobs.value_or(1)));
+              single.jobs);
   std::printf("\nplan: %s\n", p.best.label.c_str());
   std::printf("  C = %.2f  (C_time = %.2f, C_A = %.2f)\n", p.best.total,
               p.best.c_time, p.best.c_area);
@@ -520,7 +524,7 @@ int run_in_process(const Options& options) {
   } else if (request.op == PlanOp::kSweep) {
     status = report_sweep(*outcome.sweep);
   } else {
-    report_plan(options, socs.front(), outcome.sweep->series.front());
+    report_plan(options, socs.front(), *outcome.sweep);
   }
   if (options.json_file) {
     write_file(*options.json_file, outcome.document, "JSON");
