@@ -30,17 +30,21 @@
 // same argument that makes the cache sound (docs/reproduction.md,
 // "ECO re-plan workflow").
 //
-// On top of the Fig. 3 elimination it prunes surviving-group members
-// whose cost lower bound — w_T * 100 * max(analog LB, digital LB(W)) /
-// T_max(W) + w_A * C_A, every term known without a TAM run — strictly
-// exceeds the cheapest evaluated representative.  The bound is a true
-// lower bound on the Eq. 2 total and the winner is selected by strict
-// <, so pruning can never change the reported optimum: per-width
-// results are bit-identical to optimize_cost_heuristic /
-// optimize_exhaustive, just cheaper.  Evaluations fan out over the
-// common ThreadPool; all pruning thresholds are fixed before the
-// fan-out, so results (including evaluation counts) are bit-identical
-// for every jobs value.
+// On top of the Fig. 3 elimination it skips TAM runs by a cost lower
+// bound — w_T * 100 * max(analog LB, makespan LB(W, budget)) /
+// T_max(W) + w_A * C_A, every term known without a TAM run
+// (tam::makespan_lower_bound).  Representatives are evaluated one at a
+// time in ascending order of that bound; one whose bound exceeds the
+// cheapest evaluated total plus epsilon is skipped, since its group
+// would be eliminated anyway.  A surviving member is skipped when its
+// bound strictly exceeds the cheapest representative.  The bound never
+// exceeds the Eq. 2 total and the winner is selected by strict <, so
+// skipping can never change the reported optimum: per-width results
+// are bit-identical to optimize_cost_heuristic / optimize_exhaustive,
+// just cheaper.  Members' evaluations fan out over the common
+// ThreadPool; every skip is decided serially before a fan-out, so
+// results (including evaluation and skip counts) are bit-identical for
+// every jobs value.
 
 #include <optional>
 #include <string>
@@ -111,7 +115,9 @@ struct FrontierPoint {
   int cache_hits = 0;         ///< Combinations answered from the cache.
   int reused = 0;             ///< Combinations spliced from the replan
                               ///< baseline store (replan() only).
-  int pruned = 0;             ///< Members skipped by the lower bound.
+  /// Representatives and members whose TAM run the lower bound
+  /// skipped; on a cold run evaluations + pruned is the paper's N.
+  int pruned = 0;
   /// On the (width, test time) Pareto frontier: no narrower feasible
   /// budget achieves an equal-or-shorter test time.
   bool pareto = false;

@@ -339,17 +339,47 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
     cell.resolve(everything);
     for (std::size_t i = 0; i < cells.size(); ++i) consider(i);
   } else {
-    // --- Fig. 3 lines 9-13: evaluate group representatives. ---
-    std::vector<std::size_t> reps;
-    reps.reserve(space_->groups.size());
-    for (const PartitionGroup& group : space_->groups) {
-      reps.push_back(group.representative);
+    // Every cost bound below is w_T * C_time(max(analog LB, makespan
+    // LB)) + w_A * C_A: each term is known without a TAM run and never
+    // exceeds the partition's Eq. 2 total.
+    const Cycles makespan_lb =
+        tam::makespan_lower_bound(soc_, width, max_power, pareto_tables_);
+    const auto bound_cost = [&](std::size_t index) {
+      return options_.weights.total(
+          c_time(std::max(cells[index].analog_lb, makespan_lb), cell.t_max),
+          cells[index].evaluation.area_cost);
+    };
+
+    // --- Fig. 3 lines 9-13: evaluate group representatives, one at a
+    // time in ascending order of bound-cost (ties by group).  A
+    // representative whose bound-cost exceeds the cheapest evaluated
+    // total plus epsilon is skipped: its own total would exceed it too,
+    // so lines 14-17 eliminate its group for certain, and it cannot win
+    // (selection is by strict <).  The all-share partition is never
+    // skipped: its makespan is T_max, already known.
+    std::vector<std::size_t> order(space_->groups.size());
+    std::vector<double> rep_bound(space_->groups.size());
+    for (std::size_t g = 0; g < order.size(); ++g) {
+      order[g] = g;
+      rep_bound[g] = bound_cost(space_->groups[g].representative);
     }
-    cell.resolve(reps);
-    std::vector<double> rep_total(space_->groups.size());
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return rep_bound[a] < rep_bound[b];
+                     });
+    // A skipped representative keeps an infinite total: eliminated.
+    std::vector<double> rep_total(space_->groups.size(),
+                                  std::numeric_limits<double>::infinity());
     double min_rep = std::numeric_limits<double>::infinity();
-    for (std::size_t g = 0; g < space_->groups.size(); ++g) {
-      rep_total[g] = cell.price(space_->groups[g].representative).total;
+    for (const std::size_t g : order) {
+      const std::size_t rep = space_->groups[g].representative;
+      if (cells[rep].evaluation.partition.groups().size() > 1 &&
+          rep_bound[g] > min_rep + options_.epsilon) {
+        ++point.pruned;
+        continue;
+      }
+      cell.resolve({rep});
+      rep_total[g] = cell.price(rep).total;
       min_rep = std::min(min_rep, rep_total[g]);
     }
 
@@ -360,21 +390,16 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
     }
 
     // --- Lines 18-19, with the frontier engine's extra prune: a
-    // surviving member whose cost lower bound strictly exceeds the
-    // cheapest representative can neither win nor tie (selection is by
-    // strict <), so skipping its TAM run cannot change the result.
-    const Cycles digital_lb =
-        tam::digital_lower_bound(soc_, width, pareto_tables_);
+    // surviving member whose bound-cost strictly exceeds the cheapest
+    // representative can neither win nor tie, so skipping its TAM run
+    // cannot change the result.
     std::vector<bool> pruned(cells.size());
     std::vector<std::size_t> survivors;
     for (std::size_t g = 0; g < space_->groups.size(); ++g) {
       if (eliminated[g]) continue;
       for (const std::size_t index : space_->groups[g].members) {
         if (cell.time_of[index].has_value()) continue;  // representative
-        const Cycles time_lb = std::max(cells[index].analog_lb, digital_lb);
-        if (options_.weights.total(c_time(time_lb, cell.t_max),
-                                   cells[index].evaluation.area_cost) >
-            min_rep) {
+        if (bound_cost(index) > min_rep) {
           pruned[index] = true;
           ++point.pruned;
           continue;
@@ -385,11 +410,13 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
     cell.resolve(survivors);
 
     // Reduce in exactly optimize_cost_heuristic's order: groups in
-    // shape order; an eliminated group's representative still
-    // competes; surviving members in enumeration order.
+    // shape order; an eliminated group's representative still competes
+    // unless skipped (a strictly cheaper one is considered anyway);
+    // surviving members in enumeration order.
     for (std::size_t g = 0; g < space_->groups.size(); ++g) {
       if (eliminated[g]) {
-        consider(space_->groups[g].representative);
+        const std::size_t rep = space_->groups[g].representative;
+        if (cell.time_of[rep].has_value()) consider(rep);
         continue;
       }
       for (const std::size_t index : space_->groups[g].members) {

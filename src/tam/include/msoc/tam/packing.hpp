@@ -167,12 +167,23 @@ void require_packable(const soc::Soc& soc, int tam_width, double max_power);
                                     const AnalogPartition& partition,
                                     const PackingOptions& options = {});
 
-/// Lower bound on digital test time at `tam_width`: every core at its
-/// fastest feasible width, perfectly packed (area bound) — and no core
-/// can beat its own single-test minimum.  `pareto_hint` (optional)
-/// reuses precomputed staircases exactly as in PackingOptions.
-[[nodiscard]] Cycles digital_lower_bound(
-    const soc::Soc& soc, int tam_width,
+/// Lower bound on the makespan of every schedule_soc result over `soc`
+/// at `tam_width` under the resolved peak budget `max_power` (0 =
+/// unlimited), whatever the analog partition and granularity.  The
+/// largest of:
+///   * the area bound: each digital core at its most wire-efficient
+///     staircase point plus every analog test's width x cycles, spread
+///     over tam_width wires (a whole-core analog rectangle is never
+///     smaller than its tests, so this holds at both granularities);
+///   * the longest digital test at its fastest feasible width;
+///   * under a positive budget, the energy bound: every test's power x
+///     its shortest feasible time, over the most power the packer ever
+///     admits at once (budget + budget_slack), rounded down.
+/// analog_lower_bound is the per-partition term.  `pareto_hint`
+/// (optional) reuses precomputed staircases exactly as in
+/// PackingOptions.
+[[nodiscard]] Cycles makespan_lower_bound(
+    const soc::Soc& soc, int tam_width, double max_power = 0.0,
     const ParetoTables* pareto_hint = nullptr);
 
 /// Lower bound on analog test time under `partition`: the busiest shared
@@ -180,7 +191,8 @@ void require_packable(const soc::Soc& soc, int tam_width, double max_power);
 [[nodiscard]] Cycles analog_lower_bound(const soc::Soc& soc,
                                         const AnalogPartition& partition);
 
-/// max(digital, analog) — no schedule under `partition` can beat this.
+/// max(makespan, analog) without a power budget — no schedule under
+/// `partition` can beat this.
 [[nodiscard]] Cycles schedule_lower_bound(const soc::Soc& soc, int tam_width,
                                           const AnalogPartition& partition);
 

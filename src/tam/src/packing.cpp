@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <queue>
@@ -706,14 +707,16 @@ Schedule schedule_soc(const soc::Soc& soc, int tam_width,
   return best;
 }
 
-Cycles digital_lower_bound(const soc::Soc& soc, int tam_width,
-                           const ParetoTables* pareto_hint) {
+Cycles makespan_lower_bound(const soc::Soc& soc, int tam_width,
+                            double max_power,
+                            const ParetoTables* pareto_hint) {
   require(tam_width >= 1, "TAM width must be >= 1");
   if (pareto_hint != nullptr) {
     require_pareto_hint_matches(*pareto_hint, soc, tam_width);
   }
   Cycles area = 0;
   Cycles longest_single = 0;
+  double energy = 0.0;
   std::size_t core_index = 0;
   for (const soc::DigitalCore& core : soc.digital_cores()) {
     const std::vector<wrapper::ParetoPoint> pareto =
@@ -731,11 +734,26 @@ Cycles digital_lower_bound(const soc::Soc& soc, int tam_width,
     }
     area += best_area;
     longest_single = std::max(longest_single, widest.time);
+    energy += core.power * static_cast<double>(widest.time);
   }
-  const Cycles area_bound =
-      (area + static_cast<Cycles>(tam_width) - 1) /
-      static_cast<Cycles>(tam_width);
-  return std::max(area_bound, longest_single);
+  for (const soc::AnalogCore& core : soc.analog_cores()) {
+    for (const soc::AnalogTestSpec& test : core.tests) {
+      area += static_cast<Cycles>(test.tam_width) * test.cycles;
+      energy += test.power * static_cast<double>(test.cycles);
+    }
+  }
+  Cycles bound = std::max((area + static_cast<Cycles>(tam_width) - 1) /
+                              static_cast<Cycles>(tam_width),
+                          longest_single);
+  if (max_power > 0.0) {
+    // No admitted instant draws more than budget + slack.  Rounding
+    // residue in the sum is far below one cycle, so flooring keeps the
+    // bound low.
+    bound = std::max(bound, static_cast<Cycles>(std::floor(
+                                energy / (max_power +
+                                          budget_slack(max_power)))));
+  }
+  return bound;
 }
 
 Cycles analog_lower_bound(const soc::Soc& soc,
@@ -753,7 +771,7 @@ Cycles analog_lower_bound(const soc::Soc& soc,
 
 Cycles schedule_lower_bound(const soc::Soc& soc, int tam_width,
                             const AnalogPartition& partition) {
-  return std::max(digital_lower_bound(soc, tam_width),
+  return std::max(makespan_lower_bound(soc, tam_width),
                   analog_lower_bound(soc, partition));
 }
 

@@ -7,6 +7,8 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "msoc/common/error.hpp"
 #include "msoc/common/fileio.hpp"
@@ -14,6 +16,7 @@
 #include "msoc/plan/optimizer.hpp"
 #include "msoc/soc/benchmarks.hpp"
 #include "msoc/soc/digest.hpp"
+#include "msoc/soc/itc02.hpp"
 #include "msoc/tam/counters.hpp"
 #include "powered_fixtures.hpp"
 
@@ -147,25 +150,100 @@ TEST(Frontier, JobsDoNotChangeResultsOrCounts) {
   }
 }
 
+/// Per point, the same packs and the same skips.
+void expect_same_counts(const FrontierResult& a, const FrontierResult& b,
+                        bool same_packs) {
+  ASSERT_EQ(a.points.size(), b.points.size());
+  for (std::size_t i = 0; i < a.points.size(); ++i) {
+    SCOPED_TRACE("point " + std::to_string(i));
+    if (same_packs) {
+      EXPECT_EQ(a.points[i].evaluations, b.points[i].evaluations);
+    }
+    EXPECT_EQ(a.points[i].pruned, b.points[i].pruned);
+    EXPECT_EQ(a.points[i].best.total, b.points[i].best.total);
+  }
+}
+
 TEST(Frontier, JobsDoNotChangePackCounters) {
   // Every pack's counts reach the process-wide totals however many
-  // threads ran the packs: a cold frontier sums to the same four totals
-  // at jobs 1 and 4.
-  const soc::Soc soc = soc::make_d695m();
-  FrontierOptions parallel = d695m_options();
-  parallel.jobs = 4;
-  tam::reset_pack_counters();
-  ASSERT_FALSE(FrontierEngine(soc, d695m_options()).run().points.empty());
-  const tam::PackCounterSnapshot serial = tam::snapshot_pack_counters();
-  tam::reset_pack_counters();
-  ASSERT_FALSE(FrontierEngine(soc, parallel).run().points.empty());
-  const tam::PackCounterSnapshot threaded = tam::snapshot_pack_counters();
-  EXPECT_GT(serial.admission_checks, 0u);
-  EXPECT_GT(serial.reservations, 0u);
-  EXPECT_EQ(serial.admission_checks, threaded.admission_checks);
-  EXPECT_EQ(serial.events_visited, threaded.events_visited);
-  EXPECT_EQ(serial.retries, threaded.retries);
-  EXPECT_EQ(serial.reservations, threaded.reservations);
+  // threads ran the packs, and every skip is decided serially: a cold
+  // frontier sums to the same four totals and reports the same
+  // per-point evaluations and pruned at jobs 1 and 4.  A warm run
+  // decides on the same makespans, read from the cache, so it skips
+  // exactly what the cold run skipped.
+  FrontierOptions powered;
+  powered.widths = {16, 32};
+  powered.max_powers = {0.0, -1.0, 250.0};
+  const std::vector<std::pair<soc::Soc, FrontierOptions>> cases = {
+      {soc::make_d695m(), d695m_options()},
+      {soc::make_p93791m(), FrontierOptions{}},
+      {soc::load_soc_file(std::string(MSOC_TEST_DATA_DIR) +
+                          "/d695m_power.soc"),
+       powered}};
+  for (const auto& [soc, options] : cases) {
+    SCOPED_TRACE(soc.name());
+    const std::string dir = fresh_dir(("jobs_" + soc.name()).c_str());
+    ResultCache cold_cache(dir);
+    FrontierOptions serial = options;
+    serial.cache = &cold_cache;
+    FrontierOptions parallel = options;
+    parallel.jobs = 4;
+
+    tam::reset_pack_counters();
+    const FrontierResult cold = FrontierEngine(soc, serial).run();
+    const tam::PackCounterSnapshot serial_counts =
+        tam::snapshot_pack_counters();
+    cold_cache.flush();
+    tam::reset_pack_counters();
+    const FrontierResult threaded = FrontierEngine(soc, parallel).run();
+    const tam::PackCounterSnapshot threaded_counts =
+        tam::snapshot_pack_counters();
+    EXPECT_GT(serial_counts.admission_checks, 0u);
+    EXPECT_GT(serial_counts.reservations, 0u);
+    EXPECT_EQ(serial_counts.admission_checks,
+              threaded_counts.admission_checks);
+    EXPECT_EQ(serial_counts.events_visited, threaded_counts.events_visited);
+    EXPECT_EQ(serial_counts.retries, threaded_counts.retries);
+    EXPECT_EQ(serial_counts.reservations, threaded_counts.reservations);
+    expect_same_counts(cold, threaded, /*same_packs=*/true);
+
+    ResultCache warm_cache(dir);
+    FrontierOptions warm_options = options;
+    warm_options.cache = &warm_cache;
+    const FrontierResult warm = FrontierEngine(soc, warm_options).run();
+    EXPECT_EQ(warm.evaluations, 0);
+    expect_same_counts(cold, warm, /*same_packs=*/false);
+  }
+}
+
+TEST(Frontier, ReplanSkipsWhatTheColdRunSkips) {
+  // d695m_power.soc replanned from a d695m store: the unconstrained
+  // rung splices from the baseline, the powered rungs re-pack, and
+  // every point skips exactly what a cold run of the same SOC skips.
+  FrontierOptions options;
+  options.widths = {16, 32};
+  options.max_powers = {0.0, -1.0, 250.0};
+  const soc::Soc baseline = soc::make_d695m();
+  const soc::Soc powered = soc::load_soc_file(
+      std::string(MSOC_TEST_DATA_DIR) + "/d695m_power.soc");
+  const std::string dir = fresh_dir("replan_skips");
+  {
+    ResultCache cache(dir);
+    FrontierOptions baseline_options = options;
+    baseline_options.cache = &cache;
+    ASSERT_FALSE(
+        FrontierEngine(baseline, baseline_options).run().points.empty());
+    cache.flush();
+  }
+  ResultCache cache(dir);
+  FrontierOptions replan_options = options;
+  replan_options.cache = &cache;
+  const FrontierResult replanned = FrontierEngine(powered, replan_options)
+                                       .replan(soc::digest_hex(baseline));
+  EXPECT_FALSE(replanned.replanned_from.empty());
+  EXPECT_GT(replanned.reused, 0);
+  const FrontierResult cold = FrontierEngine(powered, options).run();
+  expect_same_counts(cold, replanned, /*same_packs=*/false);
 }
 
 TEST(Frontier, WidthBelowAnalogMinimumRecordedNotFatal) {

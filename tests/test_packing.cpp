@@ -87,7 +87,7 @@ TEST(Packing, DigitalOnlySoc) {
   const Schedule sched = schedule_soc(s, 16, {});
   EXPECT_TRUE(validate_schedule(sched).empty());
   EXPECT_EQ(sched.tests.size(), 10u);
-  EXPECT_GE(sched.makespan(), digital_lower_bound(s, 16));
+  EXPECT_GE(sched.makespan(), makespan_lower_bound(s, 16));
 }
 
 TEST(Packing, SharedGroupSerializedInTime) {
@@ -597,8 +597,8 @@ TEST(PackingWindow, UnannotatedSocIgnoresAnyWindow) {
 
 TEST(LowerBounds, DigitalBoundMonotoneInWidth) {
   const soc::Soc s = soc::make_p93791();
-  EXPECT_GE(digital_lower_bound(s, 16), digital_lower_bound(s, 32));
-  EXPECT_GE(digital_lower_bound(s, 32), digital_lower_bound(s, 64));
+  EXPECT_GE(makespan_lower_bound(s, 16), makespan_lower_bound(s, 32));
+  EXPECT_GE(makespan_lower_bound(s, 32), makespan_lower_bound(s, 64));
 }
 
 TEST(LowerBounds, AnalogBoundMatchesBusiestWrapper) {
