@@ -71,6 +71,7 @@
 #include "msoc/common/fileio.hpp"
 #include "msoc/common/json.hpp"
 #include "msoc/common/net.hpp"
+#include "msoc/common/parallel.hpp"
 #include "msoc/common/strings.hpp"
 #include "msoc/plan/request.hpp"
 #include "msoc/plan/result_cache.hpp"
@@ -380,11 +381,12 @@ int report_frontier(const Options& options,
   for (const msoc::plan::FrontierPoint& p : result.points) {
     widths.insert(p.tam_width);
   }
+  const long long jobs = request.jobs.value_or(1);
   std::printf("frontier: SOC %s (digest %s), %zu widths, %s, w_T=%.2f, "
               "jobs=%lld\n",
               result.soc_name.c_str(), result.digest.c_str(), widths.size(),
               algorithm_name(request), result.w_time,
-              static_cast<long long>(request.jobs.value_or(1)));
+              jobs <= 0 ? msoc::hardware_jobs() : jobs);
   int failures = 0;
   for (const msoc::plan::FrontierPoint& p : result.points) {
     const std::string power = power_tag(p.max_power, "  P=%-8.6g");
@@ -507,15 +509,15 @@ int run_in_process(const Options& options) {
   }
   std::optional<plan::ResultCache> cache;
   if (options.cache_dir) cache.emplace(*options.cache_dir);
+  const plan::PlanOutcome outcome =
+      plan::execute(request, socs, cache ? &*cache : nullptr);
   if (request.op == PlanOp::kSweep) {
-    std::printf("sweep: %zu SOCs (%s, jobs=%lld%s%s)\n", socs.size(),
-                algorithm_name(request),
-                static_cast<long long>(request.jobs.value_or(1)),
+    // The thread count the sweep resolved, as its document reports it.
+    std::printf("sweep: %zu SOCs (%s, jobs=%d%s%s)\n", socs.size(),
+                algorithm_name(request), outcome.sweep->jobs,
                 cache ? ", cache " : "",
                 cache ? cache->directory().c_str() : "");
   }
-  const plan::PlanOutcome outcome =
-      plan::execute(request, socs, cache ? &*cache : nullptr);
 
   int status = 0;
   if (request.op == PlanOp::kFrontier) {
