@@ -28,10 +28,11 @@ struct SweepConfig {
   /// the borrowed msoc-cache-v4 result cache.  Three fields are the
   /// sweep's own business: `weights` comes from each series' time
   /// weight, `pareto_tables` is computed once per SOC and lent to its
-  /// series, and `jobs` is the sweep's total thread budget (<= 0 =
-  /// hardware concurrency).  (SOC x weight) series fan out over a pool
-  /// and leftover budget goes to the engines' evaluation fan-out; both
-  /// levels are deterministic, so results never depend on it.
+  /// series (a one-SOC sweep may lend its own instead), and `jobs` is
+  /// the sweep's total thread budget (<= 0 = hardware concurrency).
+  /// (SOC x weight) series fan out over a pool and leftover budget goes
+  /// to the engines' evaluation fan-out; both levels are deterministic,
+  /// so results never depend on it.
   ///
   /// With a cache the sweep opens its SOCs' digests up front, records
   /// into the overlay, and flushes at the end.  Lookups see only the

@@ -178,6 +178,10 @@ PlanOutcome execute_plan(const PlanRequest& request, const soc::Soc& soc) {
   config.socs = {soc};
   config.frontier = frontier_options(request, nullptr);
   config.time_weights = {config.frontier.weights.time};
+  // One set of staircases serves the engine's packs and the winner's.
+  const tam::ParetoTables tables =
+      tam::compute_pareto_tables(soc, config.frontier.widths.front());
+  config.frontier.pareto_tables = &tables;
   SweepResult single = run_sweep(config);
   FrontierPoint& point = single.series.front().points.front();
   if (!point.ok()) throw InfeasibleError(point.error);
@@ -191,6 +195,7 @@ PlanOutcome execute_plan(const PlanRequest& request, const soc::Soc& soc) {
 
   tam::PackingOptions packing = config.frontier.packing;
   packing.max_power = config.frontier.max_powers.front();
+  packing.pareto_hint = &tables;
   PlanOutcome outcome;
   outcome.schedule = tam::schedule_soc(
       soc, point.tam_width,

@@ -60,6 +60,8 @@ SweepResult run_sweep(const SweepConfig& config) {
           "replan needs a cache holding the baseline store");
   require(config.replan_from.empty() || config.socs.size() == 1,
           "replan needs exactly one SOC (the baseline is one revision)");
+  require(frontier.pareto_tables == nullptr || config.socs.size() == 1,
+          "lent pareto_tables cover exactly one SOC");
 
   const std::size_t weights = config.time_weights.size();
   const std::size_t series_count = config.socs.size() * weights;
@@ -102,13 +104,16 @@ SweepResult run_sweep(const SweepConfig& config) {
   // Per-SOC shared setup, done serially before the fan-out: each
   // digest's cache file is read once (open holds the cache lock), and
   // the Pareto staircases — weight-independent — are computed once and
-  // lent to every weight series instead of once per engine.
+  // lent to every weight series instead of once per engine, unless the
+  // caller lent its own (each engine checks that it covers the SOC).
   const int table_width = std::max(
       1, *std::max_element(frontier.widths.begin(), frontier.widths.end()));
   std::vector<tam::ParetoTables> tables;
   tables.reserve(config.socs.size());
   for (const soc::Soc& soc : config.socs) {
-    tables.push_back(tam::compute_pareto_tables(soc, table_width));
+    if (frontier.pareto_tables == nullptr) {
+      tables.push_back(tam::compute_pareto_tables(soc, table_width));
+    }
     // Opening with the SOC pins the store's digest inventory so the
     // flushed file can seed a future replan.
     if (cache != nullptr) cache->open(soc::digest_hex(soc), soc);
@@ -132,7 +137,9 @@ SweepResult run_sweep(const SweepConfig& config) {
       FrontierOptions options = config.frontier;
       options.weights = {w_time, 1.0 - w_time};
       options.jobs = inner;
-      options.pareto_tables = &tables[soc_index];
+      if (options.pareto_tables == nullptr) {
+        options.pareto_tables = &tables[soc_index];
+      }
       const std::vector<double>& budgets = result.budgets[soc_index];
       try {
         FrontierEngine engine(soc, options);
