@@ -6,6 +6,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "msoc/common/csv.hpp"
 #include "msoc/common/error.hpp"
@@ -357,24 +358,19 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
     // so lines 14-17 eliminate its group for certain, and it cannot win
     // (selection is by strict <).  The all-share partition is never
     // skipped: its makespan is T_max, already known.
-    std::vector<std::size_t> order(space_->groups.size());
-    std::vector<double> rep_bound(space_->groups.size());
-    for (std::size_t g = 0; g < order.size(); ++g) {
-      order[g] = g;
-      rep_bound[g] = bound_cost(space_->groups[g].representative);
+    std::vector<std::pair<double, std::size_t>> by_bound;  // (cost, group)
+    for (std::size_t g = 0; g < space_->groups.size(); ++g) {
+      by_bound.emplace_back(bound_cost(space_->groups[g].representative), g);
     }
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return rep_bound[a] < rep_bound[b];
-                     });
+    std::sort(by_bound.begin(), by_bound.end());
     // A skipped representative keeps an infinite total: eliminated.
     std::vector<double> rep_total(space_->groups.size(),
                                   std::numeric_limits<double>::infinity());
     double min_rep = std::numeric_limits<double>::infinity();
-    for (const std::size_t g : order) {
+    for (const auto& [bound, g] : by_bound) {
       const std::size_t rep = space_->groups[g].representative;
       if (cells[rep].evaluation.partition.groups().size() > 1 &&
-          rep_bound[g] > min_rep + options_.epsilon) {
+          bound > min_rep + options_.epsilon) {
         ++point.pruned;
         continue;
       }
