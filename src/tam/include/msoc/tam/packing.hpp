@@ -191,8 +191,8 @@ void require_packable(const soc::Soc& soc, int tam_width, double max_power);
 [[nodiscard]] Cycles analog_lower_bound(const soc::Soc& soc,
                                         const AnalogPartition& partition);
 
-/// max(makespan, analog) without a power budget — no schedule under
-/// `partition` can beat this.
+/// max(makespan LB without a power budget, analog LB) — no schedule
+/// under `partition`, at any budget, can beat this.
 [[nodiscard]] Cycles schedule_lower_bound(const soc::Soc& soc, int tam_width,
                                           const AnalogPartition& partition);
 
