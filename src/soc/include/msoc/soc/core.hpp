@@ -38,8 +38,8 @@ struct DigitalCore {
   [[nodiscard]] long long total_scan_cells() const;
 
   /// Wrapper cell count: every functional terminal gets a wrapper cell.
-  [[nodiscard]] int wrapper_cell_count() const {
-    return inputs + outputs + 2 * bidirs;
+  [[nodiscard]] long long wrapper_cell_count() const {
+    return static_cast<long long>(inputs) + outputs + 2LL * bidirs;
   }
 
   /// Sanity checks; throws InfeasibleError on nonsense.

@@ -1,6 +1,7 @@
 #include "msoc/soc/core.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <tuple>
 
@@ -21,6 +22,12 @@ void DigitalCore::validate() const {
   };
   check(inputs >= 0 && outputs >= 0 && bidirs >= 0,
         "I/O counts must be non-negative");
+  // design_wrapper counts each direction's cells in an int; bidirs add
+  // a cell to both.
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
+  check(static_cast<long long>(inputs) + bidirs <= kIntMax &&
+            static_cast<long long>(outputs) + bidirs <= kIntMax,
+        "inputs + bidirs and outputs + bidirs must not exceed 2147483647");
   // A core with no patterns has a zero-length test, which no schedule
   // can place.
   check(patterns > 0, "pattern count must be positive");

@@ -176,11 +176,31 @@ TEST(Itc02Parse, RejectsIntegersTheFieldCannotHoldAtTheirLine) {
     EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
         << e.what();
   }
-  // INT_MAX itself still parses, in every I/O field at once.
+  // INT_MAX itself still parses, in every I/O field; with the bidirs
+  // that count in both directions, each direction's sum may reach it.
   const Soc widest = parse_soc_string(
-      module + "  Inputs 2147483647\n  Outputs 2147483647\n"
-               "  Bidirs 2147483647\n  Patterns 1\n");
-  EXPECT_EQ(widest.digital_cores()[0].bidirs, 2147483647);
+      module + "  Inputs 2147483647\n  Outputs 2147483647\n  Patterns 1\n");
+  EXPECT_EQ(widest.digital_cores()[0].inputs, 2147483647);
+  const Soc widest_bidirs = parse_soc_string(
+      module + "  Inputs 1\n  Outputs 1\n"
+               "  Bidirs 2147483646\n  Patterns 1\n");
+  EXPECT_EQ(widest_bidirs.digital_cores()[0].bidirs, 2147483646);
+}
+
+TEST(Itc02Parse, RejectsIoSumsPastIntMaxAtTheModuleLine) {
+  // Inputs + Bidirs once overflowed design_wrapper's int cell count and
+  // designed a wrapper with scan_in 0.
+  const std::string module = "SocName x\nModule 1 m\n";
+  for (const std::string& text :
+       {module + "  Inputs 2147483647\n  Bidirs 1\n  Patterns 1\n",
+        module + "  Outputs 2147483647\n  Bidirs 1\n  Patterns 1\n",
+        module + "  Bidirs 2147483647\n  Inputs 1\n  Patterns 1\n"}) {
+    const ParseError e = parse_error(text);
+    EXPECT_EQ(e.line(), 2) << text;
+    EXPECT_NE(std::string(e.what()).find("must not exceed 2147483647"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Itc02RoundTrip, NamelessSocWritesNoSocNameLine) {

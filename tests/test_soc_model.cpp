@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "msoc/common/error.hpp"
 #include "msoc/soc/benchmarks.hpp"
 
@@ -41,6 +43,27 @@ TEST(DigitalCoreModel, ValidationRejectsNonsense) {
   c = simple_digital("x");
   c.patterns = -5;
   EXPECT_THROW(c.validate(), InfeasibleError);
+}
+
+TEST(DigitalCoreModel, IoSumsPastIntMaxAreInfeasible) {
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  DigitalCore c = simple_digital("wide");
+  c.inputs = kIntMax;
+  c.bidirs = 1;
+  EXPECT_THROW(c.validate(), InfeasibleError);
+  c.inputs = 0;
+  c.outputs = kIntMax;
+  EXPECT_THROW(c.validate(), InfeasibleError);
+  // Exactly INT_MAX per direction is a valid core.
+  c.outputs = kIntMax - 1;
+  c.inputs = kIntMax - 1;
+  EXPECT_NO_THROW(c.validate());
+  c.bidirs = 0;
+  c.inputs = kIntMax;
+  c.outputs = kIntMax;
+  EXPECT_NO_THROW(c.validate());
+  // The cell count no longer wraps: 2 * INT_MAX cells.
+  EXPECT_EQ(c.wrapper_cell_count(), 2LL * kIntMax);
 }
 
 TEST(DigitalCoreModel, ValidationRejectsZeroPatternsNamingTheCore) {
