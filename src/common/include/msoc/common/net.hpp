@@ -63,10 +63,14 @@ class UnixSocket {
   [[nodiscard]] static std::optional<UnixSocket> connect_if_listening(
       const std::string& path);
 
-  /// Writes one framed payload (blocking, EINTR-retried, SIGPIPE
-  /// suppressed).  Throws Error when the peer is gone or writing
-  /// fails.
+  /// Frames `payload` and writes it with send_encoded().
   void send_frame(std::string_view payload);
+
+  /// Writes bytes that already are one encoded frame
+  /// (encode_journal_record output) as they are (blocking,
+  /// EINTR-retried, SIGPIPE suppressed).  Throws Error when the peer is
+  /// gone or writing fails.
+  void send_encoded(std::string_view frame);
 
   /// Reads one frame (blocking).  Classifies stream-level problems in
   /// the result; throws Error only on hard I/O errors.

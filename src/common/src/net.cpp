@@ -41,6 +41,10 @@ UnixSocket& UnixSocket::operator=(UnixSocket&& other) noexcept {
   return *this;
 }
 
+void UnixSocket::send_frame(std::string_view payload) {
+  send_encoded(encode_journal_record(payload));
+}
+
 UnixListener::~UnixListener() { close_and_unlink(); }
 
 UnixListener::UnixListener(UnixListener&& other) noexcept
@@ -67,7 +71,7 @@ std::optional<UnixSocket> UnixSocket::connect_if_listening(
   throw Error("msoc-rpc sockets are not supported on this platform");
 }
 
-void UnixSocket::send_frame(std::string_view) {
+void UnixSocket::send_encoded(std::string_view) {
   throw Error("msoc-rpc sockets are not supported on this platform");
 }
 
@@ -199,9 +203,8 @@ void UnixSocket::shutdown_and_drain(int timeout_ms) noexcept {
   close();
 }
 
-void UnixSocket::send_frame(std::string_view payload) {
-  require(valid(), "send_frame on a closed socket");
-  const std::string frame = encode_journal_record(payload);
+void UnixSocket::send_encoded(std::string_view frame) {
+  require(valid(), "send on a closed socket");
   std::size_t put = 0;
   while (put < frame.size()) {
     // MSG_NOSIGNAL: a peer that vanished mid-reply must surface as an

@@ -25,6 +25,13 @@
 //     which is also what keeps replies bit-stable while the shared
 //     cache warms up underneath.
 //   * Evaluation errors are never memoized; every retry re-plans.
+//
+// A memo entry stores its reply once, already framed as one msoc-rpc
+// frame, and is found two ways: by canonical request key, and by the
+// exact bytes of the latest request that reached it.  The byte lookup
+// runs before any decoding and is exact because the canonical key is a
+// pure function of the bytes; a hit is a hash lookup, and the server
+// writes the stored frame as it is.
 
 #include <cstddef>
 #include <list>
@@ -34,15 +41,15 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "msoc/plan/request.hpp"
 #include "msoc/plan/result_cache.hpp"
 #include "msoc/soc/soc.hpp"
 
 namespace msoc::plan {
-
-struct PlanRequest;
 
 struct ServiceLimits {
   /// Hard cap on one request's evaluation threads (0 = uncapped).
@@ -50,9 +57,9 @@ struct ServiceLimits {
   /// "jobs" field of sweep documents vs a standalone run (results
   /// themselves are jobs-invariant).
   int jobs_cap = 0;
-  /// Response-memo entries kept (canonical request -> reply bytes).
+  /// Response-memo entries kept (canonical request -> reply frame).
   std::size_t memo_capacity = 64;
-  /// Parsed .soc texts kept (content hash -> Soc).
+  /// Parsed .soc texts kept (content -> Soc).
   std::size_t soc_cache_capacity = 16;
 };
 
@@ -79,9 +86,16 @@ class PlanService {
   PlanService(const PlanService&) = delete;
   PlanService& operator=(const PlanService&) = delete;
 
-  /// One request envelope in, one response envelope out.  Never
-  /// throws — malformed JSON, unknown ops and planning failures all
-  /// become ok=false envelopes.
+  /// One msoc-rpc frame (msoc/common/journal.hpp framing) per reply.
+  using Frame = std::shared_ptr<const std::string>;
+
+  /// One request envelope in, one response envelope out, framed.
+  /// Never throws — malformed JSON, unknown ops and planning failures
+  /// all become ok=false envelopes.  A memo hit returns the frame the
+  /// entry stores, so the server sends it without re-encoding.
+  [[nodiscard]] Frame handle_frame(std::string_view request_json);
+
+  /// handle_frame()'s reply envelope without the frame header.
   [[nodiscard]] std::string handle(std::string_view request_json);
 
   [[nodiscard]] ServiceStats stats() const;
@@ -96,6 +110,16 @@ class PlanService {
 
  private:
   struct Pending;
+  /// One memoized reply.  `alias` is the latest raw request that
+  /// reached the entry; memo_ and memo_by_bytes_ key on views into
+  /// `key` and `alias`, which list nodes keep in place.
+  struct MemoEntry {
+    std::string key;
+    std::string alias;
+    PlanOp op;
+    Frame frame;
+  };
+  using MemoList = std::list<MemoEntry>;
 
   /// Runs one planning request through execute() and wraps the
   /// outcome in the reply envelope.
@@ -106,23 +130,26 @@ class PlanService {
       const PlanRequest& request);
   [[nodiscard]] int effective_jobs(int jobs) const;
   [[nodiscard]] std::string stats_reply() const;
-  void memo_insert_locked(const std::string& key, const std::string& reply);
+  void count_op_locked(PlanOp op);
+  [[nodiscard]] Frame memo_hit_locked(MemoList::iterator entry);
+  void set_alias_locked(MemoList::iterator entry, std::string_view bytes);
+  void drop_alias_locked(MemoList::iterator entry);
+  void memo_insert_locked(std::string key, std::string_view bytes, PlanOp op,
+                          Frame frame);
 
   ServiceLimits limits_;
   std::optional<ResultCache> cache_;
   std::map<std::string, soc::Soc> benches_;  ///< Loaded once, immutable.
 
   mutable std::mutex mutex_;
-  /// LRU response memo: front = most recent.  The map's string keys
-  /// are canonical request keys; values point into the list.
-  std::list<std::pair<std::string, std::string>> memo_lru_;
-  std::map<std::string, std::list<std::pair<std::string, std::string>>::
-                            iterator>
-      memo_;
+  /// LRU response memo: front = most recent.
+  MemoList memo_lru_;
+  std::unordered_map<std::string_view, MemoList::iterator> memo_;
+  std::unordered_map<std::string_view, MemoList::iterator> memo_by_bytes_;
   std::map<std::string, std::shared_ptr<Pending>> inflight_;
-  /// Parsed .soc-text cache, most recent first (linear scan; the
-  /// capacity is small).
-  std::list<std::pair<std::uint64_t, soc::Soc>> soc_lru_;
+  /// Parsed .soc-text cache keyed by the text itself, most recent
+  /// first (linear scan; the capacity is small).
+  std::list<std::pair<std::string, soc::Soc>> soc_lru_;
   ServiceStats stats_;
   bool shutdown_ = false;
 };

@@ -1,7 +1,7 @@
 #include "msoc/plan/service.hpp"
 
 #include <condition_variable>
-#include <cstdint>
+#include <iterator>
 #include <sstream>
 #include <vector>
 
@@ -34,16 +34,20 @@ std::string ok_envelope(const std::string& op, const std::string& document,
   return out.str();
 }
 
+PlanService::Frame frame_of(std::string_view envelope) {
+  return std::make_shared<const std::string>(encode_journal_record(envelope));
+}
+
 }  // namespace
 
 /// Single-flight rendezvous for one canonical key: the leader fills
-/// reply/ok, flips done, and notifies; followers wait and copy.
+/// reply/ok, flips done, and notifies; followers wait and share it.
 struct PlanService::Pending {
   std::mutex mutex;
   std::condition_variable cv;
   bool done = false;
   bool ok = false;
-  std::string reply;
+  Frame reply;
 };
 
 PlanService::PlanService(std::string cache_dir, ServiceLimits limits)
@@ -62,18 +66,20 @@ std::vector<soc::Soc> PlanService::resolve_socs(const PlanRequest& request) {
     }
     return socs;
   }
-  const std::uint64_t hash = fnv1a64(*request.soc_text);
+  const std::string& text = *request.soc_text;
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto it = soc_lru_.begin(); it != soc_lru_.end(); ++it) {
-    if (it->first == hash) {
+    // The text itself, not a hash of it: colliding texts are
+    // different SOCs.
+    if (it->first == text) {
       soc_lru_.splice(soc_lru_.begin(), soc_lru_, it);
       socs.push_back(soc_lru_.front().second);
       return socs;
     }
   }
-  socs.push_back(soc::parse_soc_string(*request.soc_text, "<rpc soc_text>"));
+  socs.push_back(soc::parse_soc_string(text, "<rpc soc_text>"));
   if (limits_.soc_cache_capacity > 0) {
-    soc_lru_.emplace_front(hash, socs.front());
+    soc_lru_.emplace_front(text, socs.front());
     while (soc_lru_.size() > limits_.soc_cache_capacity) {
       soc_lru_.pop_back();
     }
@@ -120,56 +126,93 @@ std::string PlanService::stats_reply() const {
   return out.str();
 }
 
-void PlanService::memo_insert_locked(const std::string& key,
-                                     const std::string& reply) {
+void PlanService::count_op_locked(PlanOp op) {
+  if (op == PlanOp::kFrontier) ++stats_.frontier_requests;
+  else if (op == PlanOp::kSweep) ++stats_.sweep_requests;
+  else ++stats_.plan_requests;
+}
+
+PlanService::Frame PlanService::memo_hit_locked(MemoList::iterator entry) {
+  memo_lru_.splice(memo_lru_.begin(), memo_lru_, entry);
+  ++stats_.memo_hits;
+  return entry->frame;
+}
+
+void PlanService::set_alias_locked(MemoList::iterator entry,
+                                   std::string_view bytes) {
+  drop_alias_locked(entry);
+  entry->alias.assign(bytes);
+  memo_by_bytes_.emplace(entry->alias, entry);
+}
+
+void PlanService::drop_alias_locked(MemoList::iterator entry) {
+  const auto it = memo_by_bytes_.find(entry->alias);
+  if (it != memo_by_bytes_.end() && it->second == entry) {
+    memo_by_bytes_.erase(it);
+  }
+}
+
+void PlanService::memo_insert_locked(std::string key, std::string_view bytes,
+                                     PlanOp op, Frame frame) {
   if (limits_.memo_capacity == 0) return;
-  memo_lru_.emplace_front(key, reply);
-  memo_.emplace(key, memo_lru_.begin());
+  memo_lru_.push_front(MemoEntry{std::move(key), {}, op, std::move(frame)});
+  const auto entry = memo_lru_.begin();
+  memo_.emplace(entry->key, entry);
+  set_alias_locked(entry, bytes);
   while (memo_lru_.size() > limits_.memo_capacity) {
-    memo_.erase(memo_lru_.back().first);
+    const auto last = std::prev(memo_lru_.end());
+    drop_alias_locked(last);
+    memo_.erase(last->key);
     memo_lru_.pop_back();
   }
 }
 
 std::string PlanService::handle(std::string_view request_json) {
+  return handle_frame(request_json)->substr(kJournalRecordOverhead);
+}
+
+PlanService::Frame PlanService::handle_frame(std::string_view request_json) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.requests;
+    // Exact bytes first: they decode to the entry's canonical key.
+    const auto alias_it = memo_by_bytes_.find(request_json);
+    if (alias_it != memo_by_bytes_.end()) {
+      count_op_locked(alias_it->second->op);
+      return memo_hit_locked(alias_it->second);
+    }
+  }
   PlanRequest request;
   try {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.requests;
-    }
     request = PlanRequest::from_json(request_json);
   } catch (const std::exception& e) {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.errors;
-    return error_envelope(e.what());
+    return frame_of(error_envelope(e.what()));
   }
 
   if (request.op == PlanOp::kPing) {
-    return std::string("{\"schema\":\"") + kRpcSchema +
-           "\",\"ok\":true,\"op\":\"ping\"}";
+    return frame_of(std::string("{\"schema\":\"") + kRpcSchema +
+                    "\",\"ok\":true,\"op\":\"ping\"}");
   }
-  if (request.op == PlanOp::kStats) return stats_reply();
+  if (request.op == PlanOp::kStats) return frame_of(stats_reply());
   if (request.op == PlanOp::kShutdown) {
     std::lock_guard<std::mutex> lock(mutex_);
     shutdown_ = true;
-    return std::string("{\"schema\":\"") + kRpcSchema +
-           "\",\"ok\":true,\"op\":\"shutdown\"}";
+    return frame_of(std::string("{\"schema\":\"") + kRpcSchema +
+                    "\",\"ok\":true,\"op\":\"shutdown\"}");
   }
 
-  const std::string key = request.canonical_key();
+  std::string key = request.canonical_key();
   std::shared_ptr<Pending> pending;
   bool leader = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (request.op == PlanOp::kFrontier) ++stats_.frontier_requests;
-    else if (request.op == PlanOp::kSweep) ++stats_.sweep_requests;
-    else ++stats_.plan_requests;
+    count_op_locked(request.op);
     const auto memo_it = memo_.find(key);
     if (memo_it != memo_.end()) {
-      memo_lru_.splice(memo_lru_.begin(), memo_lru_, memo_it->second);
-      ++stats_.memo_hits;
-      return memo_it->second->second;
+      set_alias_locked(memo_it->second, request_json);
+      return memo_hit_locked(memo_it->second);
     }
     auto [inflight_it, inserted] =
         inflight_.try_emplace(key, std::shared_ptr<Pending>());
@@ -189,23 +232,23 @@ std::string PlanService::handle(std::string_view request_json) {
     return pending->reply;
   }
 
-  std::string reply;
+  Frame reply;
   bool ok = true;
   try {
-    reply = evaluate(request);
+    reply = frame_of(evaluate(request));
   } catch (const std::exception& e) {
     ok = false;
-    reply = error_envelope(e.what());
+    reply = frame_of(error_envelope(e.what()));
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.evaluations;
+    inflight_.erase(key);
     if (ok) {
-      memo_insert_locked(key, reply);
+      memo_insert_locked(std::move(key), request_json, request.op, reply);
     } else {
       ++stats_.errors;
     }
-    inflight_.erase(key);
   }
   {
     std::lock_guard<std::mutex> done_lock(pending->mutex);

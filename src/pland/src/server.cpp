@@ -108,8 +108,10 @@ void PlanServer::serve_connection(net::UnixSocket socket) {
       case net::FrameStatus::kClosed:
         return;
       case net::FrameStatus::kOk: {
-        const std::string reply = service_.handle(frame.payload);
-        socket.send_frame(reply);
+        // Held for the write: an eviction may drop the memo's copy.
+        const plan::PlanService::Frame reply =
+            service_.handle_frame(frame.payload);
+        socket.send_encoded(*reply);
         // A shutdown op drains the whole daemon, not just this
         // connection — but only after its own reply went out.
         if (service_.shutdown_requested()) {

@@ -2,7 +2,8 @@
 # One request path, checked end to end: every case runs through
 # msoc_plan in-process and through a live msoc_pland, and the two runs
 # must agree on the exit status, on the "error:" line, and (when they
-# succeed) on the JSON document modulo wall-clock fields.  The client
+# succeed) on the JSON document modulo wall-clock fields; a successful
+# request sent again must come back byte for byte.  The client
 # runs PlanRequest::validate() before it sends, so a rejected request
 # never reaches the daemon; test_plan_service checks that the daemon's
 # own decoding rejects the same values with the same message.
@@ -50,6 +51,13 @@ check() {
     diff <(normalize "$tmp/$name.local.json") \
          <(normalize "$tmp/$name.daemon.json") ||
       fail "$name: documents differ"
+    # The repeat is a memo hit served through the socket: the first
+    # daemon reply's bytes, wall_ms included.
+    "$plan" --daemon "$sock" "$@" --json "$tmp/$name.repeat.json" \
+      > /dev/null 2> "$tmp/$name.repeat.err" ||
+      fail "$name: the repeated request failed"
+    cmp "$tmp/$name.daemon.json" "$tmp/$name.repeat.json" ||
+      fail "$name: the memo hit differs from the first daemon reply"
   fi
 }
 

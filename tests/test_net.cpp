@@ -83,6 +83,22 @@ TEST(NetFrame, RoundTripsPayloads) {
   EXPECT_EQ(c.payload, std::string(100000, 'x'));
 }
 
+TEST(NetFrame, PreEncodedFramesArriveAsTheirPayload) {
+  // The daemon sends a memoized reply's stored frame as it is, as many
+  // times as it is asked for.
+  Pair pair;
+  UnixSocket peer(pair.raw);
+  pair.raw = -1;
+  const std::string frame = msoc::encode_journal_record("stored reply");
+  pair.sock.send_encoded(frame);
+  pair.sock.send_encoded(frame);
+  for (int i = 0; i < 2; ++i) {
+    FrameResult result = peer.recv_frame();
+    ASSERT_EQ(result.status, FrameStatus::kOk);
+    EXPECT_EQ(result.payload, "stored reply");
+  }
+}
+
 TEST(NetFrame, CleanCloseIsKClosed) {
   Pair pair;
   pair.close_raw();

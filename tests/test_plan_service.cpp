@@ -41,6 +41,13 @@ std::string normalize(const std::string& document) {
   return std::regex_replace(document, wall, "\"$1wall_ms\": 0");
 }
 
+/// A reply envelope with its document's wall-clock values zeroed: the
+/// bytes any service must produce for the request.
+std::string stable(const std::string& reply) {
+  static const std::regex wall(R"(\\"(total_)?wall_ms\\": -?[0-9.eE+-]+)");
+  return std::regex_replace(reply, wall, R"(\"$1wall_ms\": 0)");
+}
+
 JsonValue reply_of(PlanService& service, const std::string& request) {
   return parse_json(service.handle(request), "service reply");
 }
@@ -118,6 +125,134 @@ TEST(PlanService, RepeatedRequestHitsTheMemoBitIdentically) {
   EXPECT_EQ(stats.evaluations, 1);
   EXPECT_EQ(stats.memo_hits, 1);
   EXPECT_EQ(stats.plan_requests, 2);
+}
+
+TEST(PlanService, MemoHitsServeTheBytesOfAFreshService) {
+  const std::string request =
+      R"({"schema":"msoc-rpc-v1","op":"plan","bench":"d695m","width":16})";
+  // The same fields in another order and spacing: one canonical key.
+  const std::string reformatted =
+      R"( { "width" : 16, "bench" : "d695m", "op" : "plan",)"
+      R"( "schema" : "msoc-rpc-v1" } )";
+  const std::string other =
+      R"({"schema":"msoc-rpc-v1","op":"plan","bench":"d695m","width":32})";
+  const auto fresh = [](const std::string& r) {
+    PlanService service;
+    return service.handle(r);
+  };
+  const std::string expected = stable(fresh(request));
+  const std::string expected_other = stable(fresh(other));
+  ASSERT_NE(expected.find("\"ok\":true"), std::string::npos) << expected;
+  ASSERT_NE(expected.find(R"(\"wall_ms\": 0,)"), std::string::npos)
+      << expected;
+
+  ServiceLimits limits;
+  limits.memo_capacity = 1;
+  PlanService service("", limits);
+  const std::string first = service.handle(request);
+  EXPECT_EQ(stable(first), expected);
+  EXPECT_EQ(service.handle(request), first);      // exact bytes
+  EXPECT_EQ(service.handle(reformatted), first);  // canonical key, new alias
+  EXPECT_EQ(service.handle(reformatted), first);  // exact bytes of the alias
+  EXPECT_EQ(service.handle(request), first);      // canonical key again
+  EXPECT_EQ(stable(service.handle(other)), expected_other);  // evicts
+  // The evicted entry's alias left the index with it: re-evaluated.
+  const std::string again = service.handle(request);
+  EXPECT_EQ(stable(again), expected);
+  EXPECT_EQ(service.handle(reformatted), again);
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests, 8);
+  EXPECT_EQ(stats.evaluations, 3);
+  EXPECT_EQ(stats.memo_hits, 5);
+  EXPECT_EQ(stats.plan_requests, 8);
+  EXPECT_EQ(stats.coalesced, 0);
+  EXPECT_EQ(stats.errors, 0);
+}
+
+TEST(PlanService, ExactBytesHitsCountLikeCanonicalHits) {
+  const std::string frontier =
+      R"({"schema":"msoc-rpc-v1","op":"frontier","bench":"d695m",)"
+      R"("widths":[16]})";
+  const std::string sweep =
+      R"({"schema":"msoc-rpc-v1","op":"sweep","bench":"d695m",)"
+      R"("widths":[16],"wt":0.5})";
+  const std::string sweep_reformatted =
+      R"({"wt":0.5,"widths":[ 16 ],"bench":"d695m","op":"sweep",)"
+      R"("schema":"msoc-rpc-v1"})";
+  const std::string ping = R"({"schema":"msoc-rpc-v1","op":"ping"})";
+  const std::vector<std::string> sequence = {
+      frontier, frontier,          sweep, ping,  frontier,
+      sweep,    sweep_reformatted, ping,  sweep, "not json"};
+
+  PlanService service;
+  for (const std::string& request : sequence) (void)service.handle(request);
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests, 10);
+  EXPECT_EQ(stats.evaluations, 2);
+  EXPECT_EQ(stats.memo_hits, 5);
+  EXPECT_EQ(stats.frontier_requests, 3);
+  EXPECT_EQ(stats.sweep_requests, 4);
+  EXPECT_EQ(stats.plan_requests, 0);
+  EXPECT_EQ(stats.errors, 1);
+  EXPECT_EQ(stats.coalesced, 0);
+
+  // Without a memo every repeat plans again.
+  ServiceLimits limits;
+  limits.memo_capacity = 0;
+  PlanService memoless("", limits);
+  for (const std::string& request : sequence) (void)memoless.handle(request);
+  stats = memoless.stats();
+  EXPECT_EQ(stats.requests, 10);
+  EXPECT_EQ(stats.evaluations, 7);
+  EXPECT_EQ(stats.memo_hits, 0);
+  EXPECT_EQ(stats.frontier_requests, 3);
+  EXPECT_EQ(stats.sweep_requests, 4);
+}
+
+TEST(PlanService, ExactBytesHitsRaceEvictions) {
+  // Three keys through a two-entry memo from four threads: exact-bytes
+  // hits, alias replacements and evictions interleave.  Run it under
+  // ThreadSanitizer (the CI job selects this suite).
+  const std::vector<std::string> requests = {
+      R"({"schema":"msoc-rpc-v1","op":"plan","bench":"d695m","width":16})",
+      R"({"schema":"msoc-rpc-v1","op":"plan","bench":"d695m","width":24})",
+      R"({"schema":"msoc-rpc-v1","op":"plan","bench":"d695m","width":32})",
+      R"({"width":16,"op":"plan","bench":"d695m","schema":"msoc-rpc-v1"})",
+  };
+  std::vector<std::string> expected;
+  for (const std::string& request : requests) {
+    PlanService fresh;
+    expected.push_back(stable(fresh.handle(request)));
+  }
+  ServiceLimits limits;
+  limits.memo_capacity = 2;
+  PlanService service("", limits);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 24;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        const std::size_t k =
+            static_cast<std::size_t>(t + i) % requests.size();
+        if (stable(service.handle(requests[k])) != expected[k]) {
+          ++mismatches[static_cast<std::size_t>(t)];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests, kThreads * kRounds);
+  EXPECT_EQ(stats.plan_requests, kThreads * kRounds);
+  EXPECT_EQ(stats.evaluations + stats.memo_hits + stats.coalesced,
+            kThreads * kRounds);
+  EXPECT_EQ(stats.errors, 0);
 }
 
 TEST(PlanService, ConcurrentIdenticalRequestsCoalesceToOneEvaluation) {
