@@ -23,26 +23,15 @@
 //
 // Usage: daemon_throughput [output.json] [socket_path]
 
-#include <cstdio>
-#include <string>
-
-#if defined(_WIN32)
-
-int main() {
-  std::fprintf(stderr,
-               "daemon_throughput: Unix sockets unavailable on Windows\n");
-  return 0;
-}
-
-#else
-
-#include <unistd.h>
-
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "msoc/common/net.hpp"
 #include "msoc/pland/server.hpp"
@@ -195,5 +184,3 @@ int main(int argc, char** argv) {
   std::printf("trajectory written to %s\n", out_path.c_str());
   return ok ? 0 : 1;
 }
-
-#endif  // !defined(_WIN32)

@@ -7,11 +7,6 @@
 // two FileLocks serialize exactly like two processes do, and the
 // kernel drops the lock when a holder dies — a kill -9'd writer can
 // never wedge the cache.
-//
-// On Windows the descriptor is opened without any lock (the planner's
-// concurrent-store layer is exercised and supported on POSIX; the
-// degraded build stays correct for single-process use because callers
-// also hold their own mutexes).
 
 #include <cstdint>
 #include <optional>

@@ -11,12 +11,14 @@
 namespace msoc {
 
 /// Whole-file read.  Returns nullopt when `path` does not exist or is
-/// not a regular file (e.g. a directory); throws Error when the file
-/// exists but reading it fails.
+/// not a regular file (e.g. a directory); throws ParseError (an Error
+/// naming `path` at line 0) when the file exists but reading it fails.
 [[nodiscard]] std::optional<std::string> read_file_if_exists(
     const std::string& path);
 
-/// Whole-file read; throws Error when missing or unreadable.
+/// Whole-file read through the same open, fstat and read loop.  Throws
+/// ParseError naming `path` when it is missing, a directory or
+/// unreadable; a pipe or device is read to its end.
 [[nodiscard]] std::string read_file(const std::string& path);
 
 /// Atomically replaces `path` with `content`: writes to a unique

@@ -15,9 +15,6 @@
 // arrives with the stream still in sync (the payload was fully read)
 // and earns an error reply; a truncated or oversized frame means the
 // byte stream is unrecoverable and the connection should close.
-//
-// Windows builds get compiling stubs that throw Error — the daemon is
-// a POSIX feature, matching the flock-based cache it fronts.
 
 #include <optional>
 #include <string>

@@ -10,8 +10,6 @@
 // unspecified after EINTR, and retrying risks closing a descriptor
 // another thread just received.
 
-#if !defined(_WIN32)
-
 #include <cerrno>
 #include <fcntl.h>
 #include <unistd.h>
@@ -39,5 +37,3 @@ inline bool fsync_retry(int fd) {
 }
 
 }  // namespace msoc::posix_io
-
-#endif  // !defined(_WIN32)

@@ -4,21 +4,13 @@
 #include <cstring>
 #include <utility>
 
-#if defined(_WIN32)
-#include <fcntl.h>
-#include <io.h>
-#include <sys/stat.h>
-#else
 #include <fcntl.h>
 #include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 #include "msoc/common/error.hpp"
-#if !defined(_WIN32)
 #include "msoc/common/posix_io.hpp"
-#endif
 
 namespace msoc {
 
@@ -27,92 +19,6 @@ namespace {
 [[noreturn]] void fail(const std::string& what, const std::string& path) {
   throw Error(what + " " + path + ": " + std::strerror(errno));
 }
-
-}  // namespace
-
-#if defined(_WIN32)
-
-FileLock FileLock::exclusive(const std::string& path) {
-  int fd = -1;
-  ::_sopen_s(&fd, path.c_str(), _O_RDWR | _O_CREAT | _O_BINARY, _SH_DENYNO,
-             _S_IREAD | _S_IWRITE);
-  if (fd < 0) fail("cannot open", path);
-  return FileLock(fd, path);
-}
-
-std::optional<FileLock> FileLock::shared_if_exists(const std::string& path) {
-  int fd = -1;
-  ::_sopen_s(&fd, path.c_str(), _O_RDONLY | _O_BINARY, _SH_DENYNO,
-             _S_IREAD);
-  if (fd < 0) {
-    if (errno == ENOENT) return std::nullopt;
-    fail("cannot open", path);
-  }
-  return FileLock(fd, path);
-}
-
-FileLock::~FileLock() {
-  if (fd_ >= 0) ::_close(fd_);
-}
-
-std::uint64_t FileLock::size() const {
-  const long long end = ::_lseeki64(fd_, 0, SEEK_END);
-  if (end < 0) fail("cannot seek", path_);
-  return static_cast<std::uint64_t>(end);
-}
-
-std::string FileLock::read_all() const {
-  std::string content(size(), '\0');
-  if (::_lseeki64(fd_, 0, SEEK_SET) < 0) fail("cannot seek", path_);
-  std::size_t got = 0;
-  while (got < content.size()) {
-    const int n = ::_read(fd_, content.data() + got,
-                          static_cast<unsigned>(content.size() - got));
-    if (n < 0) fail("read failed:", path_);
-    if (n == 0) break;
-    got += static_cast<std::size_t>(n);
-  }
-  content.resize(got);
-  return content;
-}
-
-std::uint64_t FileLock::append_and_sync(std::string_view bytes) {
-  if (::_lseeki64(fd_, 0, SEEK_END) < 0) fail("cannot seek", path_);
-  std::size_t put = 0;
-  while (put < bytes.size()) {
-    const int n = ::_write(fd_, bytes.data() + put,
-                           static_cast<unsigned>(bytes.size() - put));
-    if (n < 0) fail("write failed:", path_);
-    put += static_cast<std::size_t>(n);
-  }
-  if (::_commit(fd_) != 0) fail("fsync failed:", path_);
-  return size();
-}
-
-void FileLock::truncate(std::uint64_t new_size) {
-  if (::_chsize_s(fd_, static_cast<long long>(new_size)) != 0) {
-    fail("truncate failed:", path_);
-  }
-}
-
-void FileLock::write_at_and_sync(std::uint64_t offset,
-                                 std::string_view bytes) {
-  if (::_lseeki64(fd_, static_cast<long long>(offset), SEEK_SET) < 0) {
-    fail("cannot seek", path_);
-  }
-  std::size_t put = 0;
-  while (put < bytes.size()) {
-    const int n = ::_write(fd_, bytes.data() + put,
-                           static_cast<unsigned>(bytes.size() - put));
-    if (n < 0) fail("write failed:", path_);
-    put += static_cast<std::size_t>(n);
-  }
-  if (::_commit(fd_) != 0) fail("fsync failed:", path_);
-}
-
-#else  // POSIX
-
-namespace {
 
 // open/fsync EINTR policy is shared with fileio.cpp via posix_io.hpp;
 // only the flock retry is specific to this file.
@@ -205,8 +111,6 @@ void FileLock::write_at_and_sync(std::uint64_t offset,
   }
   if (!posix_io::fsync_retry(fd_)) fail("fsync failed:", path_);
 }
-
-#endif
 
 FileLock::FileLock(FileLock&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)), path_(std::move(other.path_)) {}

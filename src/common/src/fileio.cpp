@@ -7,32 +7,17 @@
 #include <fstream>
 #include <sstream>
 
-#if defined(_WIN32)
-#include <process.h>
-#else
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "msoc/common/posix_io.hpp"
-#endif
-
 #include "msoc/common/error.hpp"
+#include "msoc/common/posix_io.hpp"
 
 namespace msoc {
 
 namespace fs = std::filesystem;
 
 namespace {
-
-long long process_id() {
-#if defined(_WIN32)
-  return ::_getpid();
-#else
-  return static_cast<long long>(::getpid());
-#endif
-}
-
-#if !defined(_WIN32)
 
 /// fsync of the temp file (when `sync`): rename durability is only as
 /// good as the bytes it points at.
@@ -65,34 +50,36 @@ void fsync_directory_or_throw(const fs::path& dir) {
   ::close(fd);
 }
 
-#endif  // !defined(_WIN32)
+/// Closes `fd` and reports `what` failing on `path` with `err`.
+[[noreturn]] void fail_read(int fd, const char* what, const std::string& path,
+                            int err) {
+  if (fd >= 0) ::close(fd);
+  throw ParseError(path, 0, std::string(what) + ": " + std::strerror(err));
+}
 
-}  // namespace
-
-std::optional<std::string> read_file_if_exists(const std::string& path) {
-#if defined(_WIN32)
-  std::error_code ec;
-  if (!fs::is_regular_file(path, ec) || ec) return std::nullopt;
-  return read_file(path);
-#else
+/// The one whole-file reader: open, fstat, read to end of file.  With
+/// `if_exists`, a missing path or one that is not a regular file is
+/// nullopt; without it, both throw, except that a pipe or device is
+/// read to its end (`--soc <(cat f.soc)`).
+std::optional<std::string> read_whole(const std::string& path,
+                                      bool if_exists) {
   // Open FIRST, classify AFTER: a stat-then-open pair races against
   // concurrent deleters (a file removed between the two calls) and
   // would throw where the contract says "absent is nullopt".
   const int fd = posix_io::open_retry(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
-    if (errno == ENOENT || errno == ENOTDIR) return std::nullopt;
-    throw Error("cannot open " + path + ": " + std::strerror(errno));
+    if (if_exists && (errno == ENOENT || errno == ENOTDIR)) {
+      return std::nullopt;
+    }
+    fail_read(fd, "cannot open", path, errno);
   }
   struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    const int err = errno;
-    ::close(fd);
-    throw Error("cannot stat " + path + ": " + std::strerror(err));
-  }
-  if (!S_ISREG(st.st_mode)) {
+  if (::fstat(fd, &st) != 0) fail_read(fd, "cannot stat", path, errno);
+  if (if_exists && !S_ISREG(st.st_mode)) {
     ::close(fd);
     return std::nullopt;  // directory, FIFO, device: not a regular file
   }
+  if (S_ISDIR(st.st_mode)) fail_read(fd, "cannot read", path, EISDIR);
   std::string content;
   content.reserve(static_cast<std::size_t>(st.st_size));
   char buffer[1 << 16];
@@ -100,25 +87,23 @@ std::optional<std::string> read_file_if_exists(const std::string& path) {
     const ssize_t n = ::read(fd, buffer, sizeof buffer);
     if (n < 0) {
       if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      throw Error("read failed: " + path + ": " + std::strerror(err));
+      fail_read(fd, "read failed", path, errno);
     }
     if (n == 0) break;
     content.append(buffer, static_cast<std::size_t>(n));
   }
   ::close(fd);
   return content;
-#endif
+}
+
+}  // namespace
+
+std::optional<std::string> read_file_if_exists(const std::string& path) {
+  return read_whole(path, /*if_exists=*/true);
 }
 
 std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) throw Error("read failed: " + path);
-  return buffer.str();
+  return *read_whole(path, /*if_exists=*/false);
 }
 
 void write_file_atomic(const std::string& path, const std::string& content,
@@ -133,7 +118,7 @@ void write_file_atomic(const std::string& path, const std::string& content,
   const fs::path dir =
       target.has_parent_path() ? target.parent_path() : fs::path(".");
   std::ostringstream name;
-  name << target.filename().string() << ".tmp." << process_id() << "."
+  name << target.filename().string() << ".tmp." << ::getpid() << "."
        << counter.fetch_add(1);
   const fs::path temp = dir / name.str();
   {
@@ -146,7 +131,6 @@ void write_file_atomic(const std::string& path, const std::string& content,
       throw Error("write failed: " + temp.string());
     }
   }
-#if !defined(_WIN32)
   if (sync) {
     try {
       fsync_file_or_throw(temp);
@@ -155,9 +139,6 @@ void write_file_atomic(const std::string& path, const std::string& content,
       throw;
     }
   }
-#else
-  (void)sync;
-#endif
   fs::rename(temp, target, ec);
   if (ec) {
     std::error_code cleanup;
@@ -165,12 +146,10 @@ void write_file_atomic(const std::string& path, const std::string& content,
     throw Error("cannot rename " + temp.string() + " to " + path + ": " +
                 ec.message());
   }
-#if !defined(_WIN32)
   // The new name is durable only once the parent directory is synced;
   // without this a crash after return can resurrect the old file even
   // though the caller saw the rename "succeed" and acted on it.
   if (sync) fsync_directory_or_throw(dir);
-#endif
 }
 
 void ensure_directory(const std::string& path) {

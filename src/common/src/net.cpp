@@ -1,19 +1,17 @@
 #include "msoc/common/net.hpp"
 
+#include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <utility>
 
-#include "msoc/common/error.hpp"
-#include "msoc/common/journal.hpp"
-
-#if !defined(_WIN32)
-#include <cerrno>
-#include <chrono>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#endif
+
+#include "msoc/common/error.hpp"
+#include "msoc/common/journal.hpp"
 
 namespace msoc::net {
 
@@ -61,35 +59,6 @@ UnixListener& UnixListener::operator=(UnixListener&& other) noexcept {
   }
   return *this;
 }
-
-#if defined(_WIN32)
-
-void UnixSocket::close() noexcept {}
-
-std::optional<UnixSocket> UnixSocket::connect_if_listening(
-    const std::string&) {
-  throw Error("msoc-rpc sockets are not supported on this platform");
-}
-
-void UnixSocket::send_encoded(std::string_view) {
-  throw Error("msoc-rpc sockets are not supported on this platform");
-}
-
-FrameResult UnixSocket::recv_frame() {
-  throw Error("msoc-rpc sockets are not supported on this platform");
-}
-
-void UnixSocket::shutdown_and_drain(int) noexcept {}
-
-UnixListener UnixListener::bind_and_listen(const std::string&, int) {
-  throw Error("msoc-rpc sockets are not supported on this platform");
-}
-
-std::optional<UnixSocket> UnixListener::accept() { return std::nullopt; }
-
-void UnixListener::close_and_unlink() noexcept {}
-
-#else  // POSIX
 
 namespace {
 
@@ -309,7 +278,5 @@ void UnixListener::close_and_unlink() noexcept {
   if (!path_.empty()) ::unlink(path_.c_str());
   path_.clear();
 }
-
-#endif  // POSIX
 
 }  // namespace msoc::net

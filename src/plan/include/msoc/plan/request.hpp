@@ -68,15 +68,13 @@ struct PlanRequest {
   /// message naming the field and its valid range.
   void validate() const;
 
-  /// The msoc-rpc-v1 envelope carrying exactly the set fields.
+  /// The msoc-rpc-v1 envelope carrying exactly the set fields, .soc
+  /// text included; also the daemon's memo/coalescing key.  Equal
+  /// requests give equal bytes; an explicit default and an absent field
+  /// differ (never wrong, just a colder memo).
   /// Precondition: validate() passed (non-finite numbers have no JSON
   /// spelling).
   [[nodiscard]] std::string to_json() const;
-
-  /// Memo/coalescing key: to_json() with soc_text replaced by its
-  /// content hash.  Equal requests give equal keys; an explicit default
-  /// and an absent field differ (never wrong, just a colder memo).
-  [[nodiscard]] std::string canonical_key() const;
 
   /// True for plan, sweep and frontier.
   [[nodiscard]] bool planning() const;

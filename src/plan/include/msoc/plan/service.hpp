@@ -27,10 +27,10 @@
 //   * Evaluation errors are never memoized; every retry re-plans.
 //
 // A memo entry stores its reply once, already framed as one msoc-rpc
-// frame, and is found two ways: by canonical request key, and by the
-// exact bytes of the latest request that reached it.  The byte lookup
-// runs before any decoding and is exact because the canonical key is a
-// pure function of the bytes; a hit is a hash lookup, and the server
+// frame, and is found two ways: by request key (PlanRequest::to_json),
+// and by the exact bytes of the latest request that reached it.  The
+// byte lookup runs before any decoding and is exact because the key is
+// a pure function of the bytes; a hit is a hash lookup, and the server
 // writes the stored frame as it is.
 
 #include <cstddef>
@@ -57,7 +57,7 @@ struct ServiceLimits {
   /// "jobs" field of sweep documents vs a standalone run (results
   /// themselves are jobs-invariant).
   int jobs_cap = 0;
-  /// Response-memo entries kept (canonical request -> reply frame).
+  /// Response-memo entries kept (request key -> reply frame).
   std::size_t memo_capacity = 64;
   /// Parsed .soc texts kept (content -> Soc).
   std::size_t soc_cache_capacity = 16;

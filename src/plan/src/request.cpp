@@ -9,7 +9,6 @@
 
 #include "msoc/common/error.hpp"
 #include "msoc/common/format.hpp"
-#include "msoc/common/journal.hpp"
 #include "msoc/common/json.hpp"
 #include "msoc/common/parallel.hpp"
 #include "msoc/plan/result_cache.hpp"
@@ -76,46 +75,6 @@ void write_array(std::ostringstream& out, const char* name,
     write(values[i]);
   }
   out << ']';
-}
-
-/// The envelope bytes; `hash_soc_text` swaps the .soc content for its
-/// fnv1a64 (the canonical key).
-std::string serialize(const PlanRequest& r, bool hash_soc_text) {
-  std::ostringstream out;
-  out << "{\"schema\":\"" << kRpcSchema << "\",\"op\":\"" << op_name(r.op)
-      << '"';
-  if (r.bench) out << ",\"bench\":\"" << json_escape(*r.bench) << '"';
-  if (r.soc_text) {
-    if (hash_soc_text) {
-      out << ",\"soc_text_hash\":\"" << hex64(fnv1a64(*r.soc_text)) << '"';
-    } else {
-      out << ",\"soc_text\":\"" << json_escape(*r.soc_text) << '"';
-    }
-  }
-  if (r.width) out << ",\"width\":" << *r.width;
-  if (r.widths) {
-    write_array(out, "widths", *r.widths,
-                [&](std::int64_t w) { out << w; });
-  }
-  if (r.max_powers) {
-    write_array(out, "max_powers", *r.max_powers,
-                [&](double p) { out << round_trip_double(p); });
-  }
-  if (r.w_time) out << ",\"wt\":" << round_trip_double(*r.w_time);
-  if (r.window_limit) {
-    out << ",\"window_limit\":" << round_trip_double(*r.window_limit);
-  }
-  if (r.window_cycles) out << ",\"window_cycles\":" << *r.window_cycles;
-  if (r.exhaustive) {
-    out << ",\"exhaustive\":" << (*r.exhaustive ? "true" : "false");
-  }
-  if (r.epsilon) out << ",\"epsilon\":" << round_trip_double(*r.epsilon);
-  if (r.jobs) out << ",\"jobs\":" << *r.jobs;
-  if (r.replan_from) {
-    out << ",\"replan_from\":\"" << json_escape(*r.replan_from) << '"';
-  }
-  out << '}';
-  return out.str();
 }
 
 /// The engine options a plan, sweep or frontier request asks for.
@@ -328,10 +287,36 @@ void PlanRequest::validate() const {
   }
 }
 
-std::string PlanRequest::to_json() const { return serialize(*this, false); }
-
-std::string PlanRequest::canonical_key() const {
-  return serialize(*this, true);
+std::string PlanRequest::to_json() const {
+  std::ostringstream out;
+  out << "{\"schema\":\"" << kRpcSchema << "\",\"op\":\"" << op_name(op)
+      << '"';
+  if (bench) out << ",\"bench\":\"" << json_escape(*bench) << '"';
+  if (soc_text) out << ",\"soc_text\":\"" << json_escape(*soc_text) << '"';
+  if (width) out << ",\"width\":" << *width;
+  if (widths) {
+    write_array(out, "widths", *widths,
+                [&](std::int64_t w) { out << w; });
+  }
+  if (max_powers) {
+    write_array(out, "max_powers", *max_powers,
+                [&](double p) { out << round_trip_double(p); });
+  }
+  if (w_time) out << ",\"wt\":" << round_trip_double(*w_time);
+  if (window_limit) {
+    out << ",\"window_limit\":" << round_trip_double(*window_limit);
+  }
+  if (window_cycles) out << ",\"window_cycles\":" << *window_cycles;
+  if (exhaustive) {
+    out << ",\"exhaustive\":" << (*exhaustive ? "true" : "false");
+  }
+  if (epsilon) out << ",\"epsilon\":" << round_trip_double(*epsilon);
+  if (jobs) out << ",\"jobs\":" << *jobs;
+  if (replan_from) {
+    out << ",\"replan_from\":\"" << json_escape(*replan_from) << '"';
+  }
+  out << '}';
+  return out.str();
 }
 
 bool PlanRequest::planning() const {

@@ -40,7 +40,7 @@ PlanService::Frame frame_of(std::string_view envelope) {
 
 }  // namespace
 
-/// Single-flight rendezvous for one canonical key: the leader fills
+/// Single-flight rendezvous for one request key: the leader fills
 /// reply/ok, flips done, and notifies; followers wait and share it.
 struct PlanService::Pending {
   std::mutex mutex;
@@ -175,7 +175,7 @@ PlanService::Frame PlanService::handle_frame(std::string_view request_json) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.requests;
-    // Exact bytes first: they decode to the entry's canonical key.
+    // Exact bytes first: they decode to the entry's key.
     const auto alias_it = memo_by_bytes_.find(request_json);
     if (alias_it != memo_by_bytes_.end()) {
       count_op_locked(alias_it->second->op);
@@ -203,7 +203,7 @@ PlanService::Frame PlanService::handle_frame(std::string_view request_json) {
                     "\",\"ok\":true,\"op\":\"shutdown\"}");
   }
 
-  std::string key = request.canonical_key();
+  std::string key = request.to_json();
   std::shared_ptr<Pending> pending;
   bool leader = false;
   {

@@ -1,16 +1,14 @@
 #include "msoc/pland/server.hpp"
 
+#include <cerrno>
 #include <utility>
 
-#include "msoc/common/error.hpp"
-#include "msoc/common/json.hpp"
-
-#if !defined(_WIN32)
-#include <cerrno>
 #include <fcntl.h>
 #include <poll.h>
 #include <unistd.h>
-#endif
+
+#include "msoc/common/error.hpp"
+#include "msoc/common/json.hpp"
 
 namespace msoc::pland {
 
@@ -24,27 +22,6 @@ std::string transport_error(const std::string& message) {
 }
 
 }  // namespace
-
-#if defined(_WIN32)
-
-PlanServer::PlanServer(ServerConfig config)
-    : config_(std::move(config)),
-      service_(config_.cache_dir, config_.limits),
-      listener_(net::UnixListener::bind_and_listen(config_.socket_path)),
-      pool_(config_.threads) {
-  throw Error("msoc_pland is not supported on this platform");
-}
-
-PlanServer::~PlanServer() = default;
-void PlanServer::run() {}
-void PlanServer::start() {}
-void PlanServer::notify_stop() noexcept {}
-void PlanServer::stop_and_join() {}
-ServerStats PlanServer::stats() const { return {}; }
-bool PlanServer::wait_readable(int) const { return false; }
-void PlanServer::serve_connection(net::UnixSocket) {}
-
-#else  // POSIX
 
 PlanServer::PlanServer(ServerConfig config)
     : config_(std::move(config)),
@@ -187,7 +164,5 @@ void PlanServer::start() {
   require(!serve_thread_.joinable(), "the server is already running");
   serve_thread_ = std::thread([this] { run(); });
 }
-
-#endif  // POSIX
 
 }  // namespace msoc::pland

@@ -36,7 +36,13 @@ namespace msoc::soc {
 [[nodiscard]] Soc parse_soc_string(const std::string& text,
                                    const std::string& source_name = "<string>");
 
-/// Loads a .soc file from disk.
+/// Parses `text`, the contents of the .soc file `path`, naming `path`
+/// in errors; also rejects a file with no SocName and no module.
+[[nodiscard]] Soc parse_soc_file(const std::string& text,
+                                 const std::string& path);
+
+/// parse_soc_file(read_file(path), path): also throws ParseError naming
+/// `path` when it is missing, a directory or unreadable.  Pipes work.
 [[nodiscard]] Soc load_soc_file(const std::string& path);
 
 /// Writes the SOC in the format above.

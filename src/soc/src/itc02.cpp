@@ -1,10 +1,10 @@
 #include "msoc/soc/itc02.hpp"
 
-#include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "msoc/common/error.hpp"
+#include "msoc/common/fileio.hpp"
 #include "msoc/common/format.hpp"
 #include "msoc/common/strings.hpp"
 
@@ -224,19 +224,17 @@ Soc parse_soc_string(const std::string& text,
   return parse_soc(in, source_name);
 }
 
-Soc load_soc_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw ParseError(path, 0, "cannot open file");
-  Soc soc = parse_soc(in, path);
-  // ifstream happily "opens" directories and other unreadable paths; the
-  // read then fails and getline-driven parsing sees an empty stream.
-  // Surface those as errors instead of returning a bogus empty SOC.
-  if (in.bad()) throw ParseError(path, 0, "read failed (is it a directory?)");
+Soc parse_soc_file(const std::string& text, const std::string& path) {
+  Soc soc = parse_soc_string(text, path);
   if (soc.name().empty() && soc.digital_count() == 0 &&
       soc.analog_count() == 0) {
     throw ParseError(path, 0, "no SocName or module definitions found");
   }
   return soc;
+}
+
+Soc load_soc_file(const std::string& path) {
+  return parse_soc_file(read_file(path), path);
 }
 
 void write_soc(std::ostream& out, const Soc& soc) {

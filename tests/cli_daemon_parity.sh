@@ -4,8 +4,8 @@
 # must agree on the exit status, on the "error:" line, and (when they
 # succeed) on the JSON document modulo wall-clock fields; a successful
 # request sent again must come back byte for byte.  The client
-# runs PlanRequest::validate() before it sends, so a rejected request
-# never reaches the daemon; test_plan_service checks that the daemon's
+# runs PlanRequest::validate() and loads any .soc before it sends, so a
+# rejected request never reaches the daemon; test_plan_service checks that the daemon's
 # own decoding rejects the same values with the same message.
 #
 # Usage: cli_daemon_parity.sh MSOC_PLAN MSOC_PLAND DATA_DIR SCRATCH_DIR
@@ -82,6 +82,26 @@ check plan_too_narrow 1 --bench d695m --width 4
 grep -q 'analog wrapper needs more TAM wires than the SOC has' \
   "$tmp/plan_too_narrow.daemon.err" ||
   fail "plan_too_narrow: unexpected message"
+
+# A .soc the client cannot load fails there, with the in-process text:
+# the daemon only ever receives a .soc that parsed.
+check soc_missing 1 --frontier --soc "$tmp/no_such.soc" --widths 16
+grep -qF "$tmp/no_such.soc: cannot open" "$tmp/soc_missing.daemon.err" ||
+  fail "soc_missing: message does not name the path"
+
+check soc_directory 1 --frontier --soc "$data" --widths 16
+grep -qF "$data: cannot read" "$tmp/soc_directory.daemon.err" ||
+  fail "soc_directory: message does not name the path"
+
+: > "$tmp/empty.soc"
+check soc_empty 1 --frontier --soc "$tmp/empty.soc" --widths 16
+grep -qF "$tmp/empty.soc: no SocName or module" "$tmp/soc_empty.daemon.err" ||
+  fail "soc_empty: unexpected message"
+
+check soc_malformed 1 --frontier --soc "$data/d695m_zero_patterns.soc" \
+  --widths 16
+grep -qF "$data/d695m_zero_patterns.soc:10: Patterns must be positive" \
+  "$tmp/soc_malformed.daemon.err" || fail "soc_malformed: unexpected message"
 
 "$plan" --daemon "$sock" --shutdown > /dev/null
 wait $daemon

@@ -34,6 +34,22 @@ TEST(FileIo, ReadDirectoryReturnsNullopt) {
   EXPECT_EQ(read_file_if_exists(::testing::TempDir()), std::nullopt);
 }
 
+TEST(FileIo, ReadFileThrowsForADirectory) {
+  EXPECT_THROW((void)read_file(::testing::TempDir()), Error);
+}
+
+TEST(FileIo, ReadFileReadsAPipeToItsEnd) {
+  // `msoc_plan --soc <(cat f.soc)` hands the planner a pipe.
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::pipe(fds), 0);
+  const std::string content = "SocName piped\n";
+  ASSERT_EQ(::write(fds[1], content.data(), content.size()),
+            static_cast<ssize_t>(content.size()));
+  ::close(fds[1]);
+  EXPECT_EQ(read_file("/dev/fd/" + std::to_string(fds[0])), content);
+  ::close(fds[0]);
+}
+
 TEST(FileIo, ReadThroughNonDirectoryComponentReturnsNullopt) {
   // ENOTDIR, not just ENOENT: a path that descends THROUGH a regular
   // file is "absent" for lookup purposes, the same as a missing entry.
@@ -43,7 +59,6 @@ TEST(FileIo, ReadThroughNonDirectoryComponentReturnsNullopt) {
   EXPECT_EQ(read_file_if_exists(dir + "/plain/below"), std::nullopt);
 }
 
-#if !defined(_WIN32)
 TEST(FileIo, ReadSpecialFileReturnsNullopt) {
   // Openable but not a regular file: classified by fstat AFTER the
   // open, so the answer cannot race a concurrent replace.
@@ -67,12 +82,13 @@ TEST(FileIo, ReadRacesAConcurrentDeleterWithoutThrowing) {
   });
   for (int i = 0; i < 2000; ++i) {
     const auto hit = read_file_if_exists(path);
-    if (hit.has_value()) EXPECT_EQ(*hit, content);
+    if (hit.has_value()) {
+      EXPECT_EQ(*hit, content);
+    }
   }
   stop.store(true);
   deleter.join();
 }
-#endif
 
 TEST(FileIo, WriteReadRoundTrip) {
   const std::string dir = unique_dir("fileio_roundtrip");

@@ -266,8 +266,8 @@ TEST(Itc02File, EmptyFileRejectedWithPathInMessage) {
 }
 
 TEST(Itc02File, DirectoryRejectedWithPathInMessage) {
-  // ifstream "opens" directories on POSIX; the loader must not hand back
-  // a bogus empty SOC for them.
+  // open(2) succeeds on a directory; the loader must reject it, never
+  // hand back a bogus empty SOC.
   try {
     (void)load_soc_file(::testing::TempDir());
     FAIL() << "expected ParseError";

@@ -8,20 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <filesystem>
 #include <string>
-
-#include "msoc/common/error.hpp"
-#include "msoc/common/journal.hpp"
-
-#if !defined(_WIN32)
+#include <thread>
 
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <cstring>
-#include <filesystem>
-#include <thread>
+#include "msoc/common/error.hpp"
+#include "msoc/common/journal.hpp"
 
 namespace {
 
@@ -218,13 +215,3 @@ TEST(NetListener, OverlongPathIsRefused) {
 }
 
 }  // namespace
-
-#else  // _WIN32
-
-TEST(NetFrame, StubsThrowOnWindows) {
-  EXPECT_THROW(
-      { (void)msoc::net::UnixSocket::connect_if_listening("x"); },
-      msoc::Error);
-}
-
-#endif

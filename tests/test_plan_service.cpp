@@ -460,22 +460,22 @@ TEST(PlanRequest, JsonRoundTripIsTheIdentity) {
     const PlanRequest decoded = PlanRequest::from_json(json);
     ASSERT_EQ(decoded, request) << json;
     EXPECT_EQ(decoded.to_json(), json);
-    EXPECT_EQ(decoded.canonical_key(), request.canonical_key()) << json;
   }
 }
 
-TEST(PlanRequest, CanonicalKeySeparatesRequests) {
+TEST(PlanRequest, MemoKeySeparatesRequests) {
   PlanRequest a;
   a.op = PlanOp::kFrontier;
   a.soc_text = "SocName one\n";
   PlanRequest b = a;
   b.soc_text = "SocName two\n";
-  EXPECT_NE(a.canonical_key(), b.canonical_key());
-  // The key names the .soc text by hash, never by content.
-  EXPECT_EQ(a.canonical_key().find("SocName"), std::string::npos);
+  // Requests that differ only in soc_text have different keys: the key
+  // carries the text itself, so no two texts can collide.
+  EXPECT_NE(a.to_json(), b.to_json());
+  EXPECT_NE(a.to_json().find("SocName one"), std::string::npos);
   b = a;
   b.epsilon = 0.0;  // an explicit default is a different request
-  EXPECT_NE(a.canonical_key(), b.canonical_key());
+  EXPECT_NE(a.to_json(), b.to_json());
 }
 
 TEST(PlanService, RejectsExactlyWhatValidateRejects) {

@@ -8,17 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <random>
 #include <string>
-
-#if !defined(_WIN32)
+#include <thread>
+#include <vector>
 
 #include <sys/socket.h>
 #include <unistd.h>
-
-#include <filesystem>
-#include <random>
-#include <thread>
-#include <vector>
 
 #include "msoc/common/error.hpp"
 #include "msoc/common/journal.hpp"
@@ -269,13 +266,3 @@ TEST(PlanServer, LiveSocketPathIsRefusedAtConstruction) {
 }
 
 }  // namespace
-
-#else  // _WIN32
-
-TEST(PlanServer, UnsupportedOnWindows) {
-  msoc::pland::ServerConfig config;
-  config.socket_path = "unsupported";
-  EXPECT_THROW({ msoc::pland::PlanServer server(config); }, msoc::Error);
-}
-
-#endif

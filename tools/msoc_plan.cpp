@@ -289,10 +289,14 @@ int run_daemon_mode(const Options& options) {
                  options.daemon->c_str());
     return -1;
   }
-  PlanRequest request = options.request;
-  // The daemon may run in another directory (or namespace): ship the
-  // .soc content itself, not the path.
-  if (options.soc_file) request.soc_text = read_file(*options.soc_file);
+  const PlanRequest& request = options.request;
+  // The daemon may run in another directory (or namespace), so the
+  // request ships the .soc content, not the path.  It is parsed here
+  // first, as the in-process run parses it, so a bad .soc fails with
+  // the same message and the daemon only receives text that parsed.
+  if (options.soc_file) {
+    (void)soc::parse_soc_file(*request.soc_text, *options.soc_file);
+  }
   socket->send_frame(request.to_json());
   const net::FrameResult frame = socket->recv_frame();
   require(frame.status == net::FrameStatus::kOk,
@@ -501,7 +505,7 @@ int run_in_process(const Options& options) {
   const PlanRequest& request = options.request;
   std::vector<soc::Soc> socs;
   if (options.soc_file) {
-    socs.push_back(soc::load_soc_file(*options.soc_file));
+    socs.push_back(soc::parse_soc_file(*request.soc_text, *options.soc_file));
   } else {
     for (const std::string& name : request.bench_names()) {
       socs.push_back(plan::make_builtin_soc(name));
@@ -556,12 +560,17 @@ int run_in_process(const Options& options) {
 int main(int argc, char** argv) {
   using namespace msoc;
   try {
-    const Options options = parse_args(argc, argv);
+    Options options = parse_args(argc, argv);
     if (options.help) {
       print_usage();
       return 0;
     }
     if (options.cache_compact) return run_compact_mode(options);
+    // Read a --soc file once for both paths: a pipe (`--soc <(...)`)
+    // cannot be read again when a busy daemon hands the request back.
+    if (options.soc_file) {
+      options.request.soc_text = read_file(*options.soc_file);
+    }
     if (options.daemon) {
       const int exit_code = run_daemon_mode(options);
       if (exit_code >= 0) return exit_code;
