@@ -191,17 +191,17 @@ BENCHMARK(BM_WireWindowFree)->RangeMultiplier(4)->Range(64, 4096)
     ->Complexity(benchmark::oLogN);
 
 // The staircases are built once outside the timed loop, as
-// plan::FrontierEngine does, so the benchmark times the pack alone.
+// plan::FrontierEngine does, so each iteration times one fresh Packer:
+// slicing the staircases, the pack, and the all-share pack of the
+// serialized fallback.
 void BM_SchedulePack(benchmark::State& state) {
   const soc::Soc soc = soc::make_p93791m();
   const tam::AnalogPartition partition = tam::singleton_partition(soc);
   const int width = static_cast<int>(state.range(0));
   const tam::ParetoTables tables = tam::compute_pareto_tables(soc, width);
-  tam::PackingOptions options;
-  options.pareto_hint = &tables;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tam::schedule_soc(soc, width, partition, options).makespan());
+    const tam::Packer packer(soc, width, {}, &tables);
+    benchmark::DoNotOptimize(packer.schedule(partition).makespan());
   }
 }
 BENCHMARK(BM_SchedulePack)->Arg(16)->Arg(32)->Arg(64)

@@ -22,8 +22,9 @@ class FileLock {
   [[nodiscard]] static FileLock exclusive(const std::string& path);
 
   /// Opens `path` read-only under a shared lock, blocking until
-  /// granted; nullopt when the file does not exist.  Throws Error on
-  /// any other open failure.
+  /// granted; nullopt when the file does not exist or is not a regular
+  /// file (the open never waits on a FIFO).  Throws Error on any other
+  /// open failure.
   [[nodiscard]] static std::optional<FileLock> shared_if_exists(
       const std::string& path);
 

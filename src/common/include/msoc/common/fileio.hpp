@@ -11,8 +11,9 @@
 namespace msoc {
 
 /// Whole-file read.  Returns nullopt when `path` does not exist or is
-/// not a regular file (e.g. a directory); throws ParseError (an Error
-/// naming `path` at line 0) when the file exists but reading it fails.
+/// not a regular file (e.g. a directory, or a FIFO, which it never
+/// waits on); throws ParseError (an Error naming `path` at line 0)
+/// when the file exists but reading it fails.
 [[nodiscard]] std::optional<std::string> read_file_if_exists(
     const std::string& path);
 

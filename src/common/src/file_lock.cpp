@@ -45,10 +45,16 @@ FileLock FileLock::exclusive(const std::string& path) {
 }
 
 std::optional<FileLock> FileLock::shared_if_exists(const std::string& path) {
-  const int fd = open_retry(path.c_str(), O_RDONLY | O_CLOEXEC, 0);
+  // O_NONBLOCK: opening a FIFO read-only would wait for a writer.
+  const int fd = open_retry(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC, 0);
   if (fd < 0) {
     if (errno == ENOENT) return std::nullopt;
     fail("cannot open", path);
+  }
+  struct stat st{};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    ::close(fd);  // a FIFO, device or directory holds no journal
+    return std::nullopt;
   }
   flock_retry(fd, LOCK_SH, path);
   return FileLock(fd, path);

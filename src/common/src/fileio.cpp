@@ -65,8 +65,11 @@ std::optional<std::string> read_whole(const std::string& path,
                                       bool if_exists) {
   // Open FIRST, classify AFTER: a stat-then-open pair races against
   // concurrent deleters (a file removed between the two calls) and
-  // would throw where the contract says "absent is nullopt".
-  const int fd = posix_io::open_retry(path.c_str(), O_RDONLY | O_CLOEXEC);
+  // would throw where the contract says "absent is nullopt".  O_NONBLOCK
+  // keeps the open from waiting for a FIFO's writer; regular files read
+  // as before.
+  const int flags = O_RDONLY | O_CLOEXEC | (if_exists ? O_NONBLOCK : 0);
+  const int fd = posix_io::open_retry(path.c_str(), flags);
   if (fd < 0) {
     if (if_exists && (errno == ENOENT || errno == ENOTDIR)) {
       return std::nullopt;

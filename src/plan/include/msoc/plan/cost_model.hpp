@@ -79,14 +79,15 @@ struct CombinationCost {
                                     const CostWeights& weights);
 
 /// Evaluates combinations against one PlanningProblem, memoizing the
-/// expensive TAM-optimizer runs and the T_max baseline.
+/// expensive TAM-optimizer runs and the T_max baseline: the reference
+/// that plan::FrontierEngine, which builds no CostModel, must match.
 ///
 /// Thread safety: evaluate() and run_tam's memo table are guarded by an
-/// internal mutex, and the T_max baseline is computed eagerly at
-/// construction, so concurrent evaluate() calls on distinct partitions
-/// are safe and produce exactly the serial results (schedule_soc is a
-/// pure function of its arguments).  Construction itself is not
-/// concurrent-safe; build the model before fanning out.
+/// internal mutex, the packer is safe to share, and the T_max baseline
+/// is computed eagerly at construction, so concurrent evaluate() calls
+/// on distinct partitions are safe and produce exactly the serial
+/// results (a pack is a pure function of its arguments).  Construction
+/// itself is not concurrent-safe; build the model before fanning out.
 class CostModel {
  public:
   explicit CostModel(const PlanningProblem& problem);
@@ -122,11 +123,8 @@ class CostModel {
 
   PlanningProblem problem_;
   std::vector<std::string> names_;
+  tam::Packer packer_;
   Cycles t_max_ = 0;
-  /// Baseline schedule from construction; read-only afterwards, lent to
-  /// schedule_soc as the serialized-fallback hint so every evaluation
-  /// skips repacking the identical merged arrangement.
-  tam::Schedule all_share_schedule_;
   mutable std::mutex mutex_;  ///< Guards tam_runs_ and time_cache_.
   int tam_runs_ = 0;
   std::map<mswrap::Partition, Cycles> time_cache_;

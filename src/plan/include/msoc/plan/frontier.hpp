@@ -17,7 +17,9 @@
 //     preliminary cost, area cost, analog lower bound, and the
 //     per-group representative choice (weights fixed per engine);
 //   * every digital core's Pareto staircase, computed once at the
-//     widest budget and sliced per width (tam::ParetoTables);
+//     widest budget (tam::ParetoTables) and sliced once per cell by
+//     the cell's tam::Packer, which also packs the cell's all-share
+//     T_max at most once;
 //   * optionally a persistent ResultCache of TAM makespans keyed by
 //     soc::digest(), so repeated sweeps, CI benches and msoc_plan
 //     invocations skip solved cells entirely.

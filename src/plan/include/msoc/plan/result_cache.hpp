@@ -89,9 +89,9 @@ namespace msoc::plan {
 
 /// Fingerprint (16 hex chars) of the PackingOptions fields a makespan
 /// depends on.  Excluded: assign_wires (wire coloring never moves a
-/// test), the borrowed hint pointers (runtime plumbing), and max_power
-/// — the effective budget is an explicit EntryKey field, so
-/// fingerprinting it too would double-count it.
+/// test), and the budgets max_power, window_limit and window_cycles —
+/// the effective budgets are explicit EntryKey fields, so
+/// fingerprinting them too would double-count them.
 [[nodiscard]] std::string packing_fingerprint(
     const tam::PackingOptions& options);
 

@@ -42,20 +42,20 @@ void PlanningProblem::validate() const {
   weights.validate();
 }
 
-CostModel::CostModel(const PlanningProblem& problem) : problem_(problem) {
-  problem_.validate();
-  names_ = mswrap::core_names(problem_.soc->analog_cores());
+CostModel::CostModel(const PlanningProblem& problem)
+    : problem_((problem.validate(), problem)),  // before the packer reads it
+      names_(mswrap::core_names(problem_.soc->analog_cores())),
+      packer_(*problem_.soc, problem_.tam_width, problem_.packing) {
   // Compute the T_max baseline up front: every evaluation normalizes by
   // it, and doing it here keeps evaluate() lock-cheap and safe to call
-  // concurrently.  All-share partition over core indices.
+  // concurrently.  The packer keeps the schedule as every evaluation's
+  // serialized fallback.
+  t_max_ = packer_.all_share().makespan();
+  check_invariant(t_max_ > 0, "T_max must be positive");
   std::vector<std::size_t> all(cores().size());
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  const mswrap::Partition all_share(
-      std::vector<std::vector<std::size_t>>{all});
-  all_share_schedule_ = schedule_for(all_share);
-  t_max_ = all_share_schedule_.makespan();
-  time_cache_[all_share] = t_max_;
-  check_invariant(t_max_ > 0, "T_max must be positive");
+  time_cache_[mswrap::Partition(std::vector<std::vector<std::size_t>>{all})] =
+      t_max_;
 }
 
 int CostModel::tam_runs() const {
@@ -71,15 +71,7 @@ double CostModel::preliminary_cost(
 
 tam::Schedule CostModel::schedule_for(
     const mswrap::Partition& partition) const {
-  tam::PackingOptions packing = problem_.packing;
-  // Lend the construction-time baseline as the serialized-fallback hint
-  // (empty only while the constructor is computing that baseline itself).
-  if (!all_share_schedule_.tests.empty()) {
-    packing.serialized_hint = &all_share_schedule_;
-  }
-  return tam::schedule_soc(*problem_.soc, problem_.tam_width,
-                           mswrap::to_analog_partition(cores(), partition),
-                           packing);
+  return packer_.schedule(mswrap::to_analog_partition(cores(), partition));
 }
 
 Cycles CostModel::run_tam(const mswrap::Partition& partition) {

@@ -38,6 +38,11 @@ int count_dirty(const std::vector<bool>& clean) {
       std::count(clean.begin(), clean.end(), false));
 }
 
+tam::PackingOptions at_budget(tam::PackingOptions packing, double max_power) {
+  packing.max_power = max_power;
+  return packing;
+}
+
 }  // namespace
 
 void FrontierOptions::validate() const {
@@ -130,11 +135,11 @@ FrontierEngine::FrontierEngine(const soc::Soc& soc, FrontierOptions options)
 /// Stage 2 of the pipeline for one (width, budget) cell: resolves
 /// partition makespans from the current store, then the replan baseline
 /// store (clean partitions only), then one parallel fan-out of fresh
-/// packs over the misses.  Baseline reads and fresh packs alike are
-/// recorded under the current digest — the splice that makes one flush
-/// materialize an up-to-date store.  Lookups read the stores' open-time
-/// snapshots and the fan-out is deterministic per jobs, so resolution
-/// order never changes results.
+/// packs over the misses through the cell's tam::Packer.  Baseline
+/// reads and fresh packs alike are recorded under the current digest —
+/// the splice that makes one flush materialize an up-to-date store.
+/// Lookups read the stores' open-time snapshots and the fan-out is
+/// deterministic per jobs, so resolution order never changes results.
 struct FrontierEngine::Cell {
   /// Resolves the all-share T_max every cost normalizes by.
   Cell(const FrontierEngine& engine, int width, double max_power,
@@ -144,7 +149,6 @@ struct FrontierEngine::Cell {
     return {width, max_power, engine.fingerprint_, key, engine.window_.cycles,
             engine.window_.active() ? engine.window_.limit : 0.0};
   }
-  [[nodiscard]] CostModel& model();
   /// Current store first, then the baseline store when `reusable`
   /// (only ever true while replanning).
   [[nodiscard]] std::optional<Cycles> lookup(const std::string& key,
@@ -171,11 +175,12 @@ struct FrontierEngine::Cell {
   const bool trust_cache;
   /// Replan reuse permission per partition; null when not replanning.
   const std::vector<bool>* clean = nullptr;
-  /// Built on the first fresh pack, before any fan-out: the CostModel
-  /// constructor is not safe to run concurrently.
-  std::optional<CostModel> cost_model;
+  /// Packs nothing until a makespan misses every store.
+  const tam::Packer packer;
   Cycles t_max = 0;
   std::vector<std::optional<Cycles>> time_of;
+  /// Partition packs: the paper's N, without the T_max baseline.
+  int packs = 0;
   int cache_hits = 0;
   int reused = 0;
 };
@@ -187,6 +192,8 @@ FrontierEngine::Cell::Cell(const FrontierEngine& engine, int width,
       max_power(max_power),
       powered(max_power > 0.0 || engine.window_.active()),
       trust_cache(trust_cache),
+      packer(engine.soc_, width, at_budget(engine.options_.packing, max_power),
+             engine.pareto_tables_),
       time_of(engine.space_->cells.size()) {
   if (!engine.replan_baseline_.empty()) {
     clean = powered ? &*engine.clean_full_ : &*engine.clean_packing_;
@@ -201,37 +208,16 @@ FrontierEngine::Cell::Cell(const FrontierEngine& engine, int width,
       engine.space_->all_share.to_string(engine.names_, true);
   if (const std::optional<Cycles> stored = lookup(key, label, all_clean)) {
     // Loading validated test_time >= 1, so it is a usable divisor;
-    // resolve() checks it against the packer once a model exists.  It
+    // resolve() checks it against the packer before its first pack.  It
     // is the normalization constant, not a combination evaluation, so
     // it counts in neither cache_hits nor reused (the paper's N).
     t_max = *stored;
     cache_hits = 0;
     reused = 0;
   } else {
-    t_max = model().t_max();
+    t_max = packer.all_share().makespan();
     record(key, label, t_max);
   }
-}
-
-CostModel& FrontierEngine::Cell::model() {
-  if (!cost_model.has_value()) {
-    const FrontierOptions& options = engine.options_;
-    PlanningProblem problem;
-    problem.soc = &engine.soc_;
-    problem.tam_width = width;
-    problem.weights = options.weights;
-    problem.area_model = options.area_model;
-    problem.policy = options.policy;
-    problem.enumeration = options.enumeration;
-    problem.packing = options.packing;
-    problem.packing.pareto_hint = engine.pareto_tables_;
-    problem.packing.max_power = max_power;
-    problem.packing.window_cycles = engine.window_.cycles;
-    problem.packing.window_limit =
-        engine.window_.active() ? engine.window_.limit : 0.0;
-    cost_model.emplace(problem);
-  }
-  return *cost_model;
 }
 
 std::optional<Cycles> FrontierEngine::Cell::lookup(const std::string& key,
@@ -273,18 +259,23 @@ void FrontierEngine::Cell::resolve(const std::vector<std::size_t>& indices) {
     time_of[index] = *hit;
   }
   if (misses.empty()) return;
-  CostModel& fresh = model();
   // A stored T_max that disagrees with a fresh pack makes every stored
   // value of this cell suspect, including ones already consumed by
   // representative/elimination decisions: restart without the stores.
-  if (fresh.t_max() != t_max) throw StaleCacheError{};
-  std::vector<Cycles> packed(misses.size());
+  if (packer.all_share().makespan() != t_max) throw StaleCacheError{};
+  std::vector<Cycles> packed(misses.size(), t_max);
   parallel_for(misses.size(), engine.options_.jobs, [&](std::size_t i) {
-    packed[i] =
-        fresh.evaluate(cells[misses[i]].evaluation.partition).test_time;
+    // The one one-wrapper partition is the all-share one: T_max, no pack.
+    const mswrap::Partition& partition = cells[misses[i]].evaluation.partition;
+    if (partition.groups().size() == 1) return;
+    const tam::Schedule schedule = packer.schedule(
+        mswrap::to_analog_partition(engine.soc_.analog_cores(), partition));
+    tam::require_valid(schedule);
+    packed[i] = schedule.makespan();
   });
   for (std::size_t i = 0; i < misses.size(); ++i) {
     const PartitionCell& cell = cells[misses[i]];
+    if (cell.evaluation.partition.groups().size() > 1) ++packs;
     time_of[misses[i]] = packed[i];
     record(cell.key_for(powered), cell.evaluation.label, packed[i]);
   }
@@ -297,9 +288,9 @@ CombinationCost FrontierEngine::Cell::price(std::size_t index) const {
 }
 
 FrontierPoint FrontierEngine::solve_point(int width, double max_power) {
-  // An unpackable cell fails here, before any store lookup, with
-  // schedule_soc's own text; run_grid turns the throw into its point.
-  tam::require_packable(soc_, width, max_power);
+  // An unpackable cell fails in its Packer's constructor, before any
+  // store lookup, with schedule_soc's own text; run_grid turns the
+  // throw into its point.
   try {
     return solve_point_attempt(width, max_power, /*trust_cache=*/true);
   } catch (const StaleCacheError&) {
@@ -343,8 +334,7 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
     // Every cost bound below is w_T * C_time(max(analog LB, makespan
     // LB)) + w_A * C_A: each term is known without a TAM run and never
     // exceeds the partition's Eq. 2 total.
-    const Cycles makespan_lb =
-        tam::makespan_lower_bound(soc_, width, max_power, pareto_tables_);
+    const Cycles makespan_lb = cell.packer.makespan_lower_bound();
     const auto bound_cost = [&](std::size_t index) {
       return options_.weights.total(
           c_time(std::max(cells[index].analog_lb, makespan_lb), cell.t_max),
@@ -422,8 +412,7 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
   }
 
   point.t_max = cell.t_max;
-  point.evaluations =
-      cell.cost_model.has_value() ? cell.cost_model->tam_runs() : 0;
+  point.evaluations = cell.packs;
   point.cache_hits = cell.cache_hits;
   point.reused = cell.reused;
   point.wall_ms = elapsed_ms(started);

@@ -154,12 +154,10 @@ PlanOutcome execute_plan(const PlanRequest& request, const soc::Soc& soc) {
 
   tam::PackingOptions packing = config.frontier.packing;
   packing.max_power = config.frontier.max_powers.front();
-  packing.pareto_hint = &tables;
   PlanOutcome outcome;
-  outcome.schedule = tam::schedule_soc(
-      soc, point.tam_width,
-      mswrap::to_analog_partition(soc.analog_cores(), point.best.partition),
-      packing);
+  outcome.schedule = tam::Packer(soc, point.tam_width, packing, &tables)
+                         .schedule(mswrap::to_analog_partition(
+                             soc.analog_cores(), point.best.partition));
   outcome.document = single.to_json();
   outcome.csv = tam::schedule_to_csv(*outcome.schedule);
   outcome.sweep = std::move(single);

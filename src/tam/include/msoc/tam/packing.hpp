@@ -20,8 +20,8 @@
 // so every admission probe costs O(log n + segments crossed) instead of
 // a full walk of the timeline, and starts at the width's watermark.
 //
-// schedule_soc races three placement orders, each with a narrow- and a
-// wide-on-tie width preference, and keeps the shortest repaired
+// Packer::schedule races three placement orders, each with a narrow-
+// and a wide-on-tie width preference, and keeps the shortest repaired
 // schedule.  A race candidate that must reproduce an earlier one is
 // skipped: an order with an already-raced placement sequence, and the
 // wide pass of an order whose narrow pass never broke a tie on width
@@ -29,6 +29,7 @@
 // only on the greedy schedule and only a strictly shorter candidate
 // replaces the best, so the skip never changes the result.
 
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -63,8 +64,8 @@ enum class PlacementOrder {
 /// filtered to points with width <= W (pareto_widths is a running-min
 /// scan, so membership never depends on the cap), which lets callers
 /// that pack the same SOC at many widths — plan::FrontierEngine, the
-/// sweep runner — compute each core's staircase once instead of once
-/// per schedule_soc call.
+/// sweep runner — compute each core's staircase once and lend it to
+/// the Packer of every width.
 struct ParetoTables {
   int max_width = 0;
   /// One table per digital core, in soc.digital_cores() order.
@@ -123,23 +124,6 @@ struct PackingOptions {
   /// the Eq.-2 cost model's C_time <= 100 normalization relies on.
   /// Disable only for ablation studies of the bare greedy.
   bool serialized_fallback = true;
-  /// Precomputed all-share schedule reused by the serialized fallback
-  /// instead of repacking it — the merged arrangement is identical for
-  /// every partition of one SOC, so callers evaluating many partitions
-  /// (plan::CostModel) pass their baseline schedule here and save nearly
-  /// half the packing work per call.  Borrowed, not owned; MUST come from
-  /// schedule_soc over the all-share partition of the same SOC, width and
-  /// options (tam_width and test count are sanity-checked).
-  const Schedule* serialized_hint = nullptr;
-  /// Precomputed Pareto staircases reused instead of calling
-  /// wrapper::pareto_widths per digital core — bit-identical schedules,
-  /// because the sliced tables equal the per-width ones (see
-  /// ParetoTables).  Borrowed, not owned; MUST come from
-  /// compute_pareto_tables over the SAME SOC.  Only the core count and
-  /// max_width >= tam_width are validated — a table from a different
-  /// SOC with the same digital core count is the caller's bug and
-  /// produces wrong schedules undetected.
-  const ParetoTables* pareto_hint = nullptr;
 };
 
 /// The power budget a pack over `soc` actually enforces for a requested
@@ -147,29 +131,76 @@ struct PackingOptions {
 /// Soc::max_power); 0 = unlimited.
 [[nodiscard]] double effective_max_power(const soc::Soc& soc, double budget);
 
-/// Throws the InfeasibleError schedule_soc raises before packing any
-/// partition of `soc`, in this order: `tam_width` below 1, an analog
-/// core needing more than `tam_width` wires, a single test hotter than
-/// the effective budget `max_power` (0 = unlimited).
-void require_packable(const soc::Soc& soc, int tam_width, double max_power);
-
 /// The sliding-window budget a pack over `soc` with `options` actually
 /// enforces (inherit resolved); inactive = unwindowed.  Throws
 /// InfeasibleError on an explicit limit without a window length.
 [[nodiscard]] soc::PowerWindow effective_power_window(
     const soc::Soc& soc, const PackingOptions& options);
 
-/// Schedules all tests of `soc` on a `tam_width`-wire TAM.
-/// `partition` groups the analog cores into shared wrappers.  Throws
-/// require_packable's InfeasibleError before anything else, then one
-/// for a malformed partition or a test no power window can admit.
+namespace detail {
+struct DigitalItem;
+struct AnalogRect;
+}  // namespace detail
+
+/// Packs one SOC on a `tam_width`-wire TAM under one set of options,
+/// for any number of analog partitions.  It owns what those packs
+/// share: the staircases sliced to the width, the analog rectangles,
+/// the makespan lower bound, and the all-share schedule (T_max and the
+/// serialized fallback), packed at most once.  The SOC is borrowed.
+/// schedule() and all_share() are safe to call concurrently.
+class Packer {
+ public:
+  /// Resolves `options` against `soc` and slices the staircases from
+  /// `tables` (read only here; must come from compute_pareto_tables
+  /// over this SOC) or computes them.  Throws InfeasibleError in this
+  /// order: `tam_width` below 1, an analog core needing more than
+  /// `tam_width` wires, a test hotter than the peak budget,
+  /// effective_power_window's, `tables` not covering this SOC at
+  /// `tam_width`, and a test no power window admits even alone.
+  Packer(const soc::Soc& soc, int tam_width,
+         const PackingOptions& options = {},
+         const ParetoTables* tables = nullptr);
+  ~Packer();
+
+  Packer(const Packer&) = delete;
+  Packer& operator=(const Packer&) = delete;
+
+  /// Schedules every test, `partition` grouping the analog cores into
+  /// shared wrappers.  Throws InfeasibleError unless it names each
+  /// analog core exactly once.
+  [[nodiscard]] Schedule schedule(const AnalogPartition& partition) const;
+
+  /// schedule(all_share_partition(soc)), packed on the first call.
+  [[nodiscard]] const Schedule& all_share() const;
+
+  /// makespan_lower_bound at this width and resolved peak budget.
+  [[nodiscard]] Cycles makespan_lower_bound() const noexcept {
+    return lower_bound_;
+  }
+
+ private:
+  const soc::Soc& soc_;
+  int tam_width_;
+  PackingOptions options_;
+  double max_power_;         ///< Resolved; 0 = unlimited.
+  soc::PowerWindow window_;  ///< Resolved; inactive = unwindowed.
+  std::vector<detail::DigitalItem> digital_;  ///< Per digital core.
+  /// Per analog core, at the options' granularity.
+  std::vector<std::vector<detail::AnalogRect>> analog_;
+  Cycles lower_bound_ = 0;
+  mutable std::once_flag all_share_once_;
+  mutable Schedule all_share_;
+};
+
+/// Packer(soc, tam_width, options).schedule(partition).
 [[nodiscard]] Schedule schedule_soc(const soc::Soc& soc, int tam_width,
                                     const AnalogPartition& partition,
                                     const PackingOptions& options = {});
 
 /// Lower bound on the makespan of every schedule_soc result over `soc`
-/// at `tam_width` under the resolved peak budget `max_power` (0 =
-/// unlimited), whatever the analog partition and granularity.  The
+/// at `tam_width` under the peak budget `max_power` (0 = unlimited;
+/// negative inherits Soc::max_power), whatever the analog partition and
+/// granularity.  Throws the Packer constructor's InfeasibleError.  The
 /// largest of:
 ///   * the area bound: each digital core at its most wire-efficient
 ///     staircase point plus every analog test's width x cycles, spread
@@ -179,12 +210,9 @@ void require_packable(const soc::Soc& soc, int tam_width, double max_power);
 ///   * under a positive budget, the energy bound: every test's power x
 ///     its shortest feasible time, over the most power the packer ever
 ///     admits at once (budget + budget_slack), rounded down.
-/// analog_lower_bound is the per-partition term.  `pareto_hint`
-/// (optional) reuses precomputed staircases exactly as in
-/// PackingOptions.
-[[nodiscard]] Cycles makespan_lower_bound(
-    const soc::Soc& soc, int tam_width, double max_power = 0.0,
-    const ParetoTables* pareto_hint = nullptr);
+/// analog_lower_bound is the per-partition term.
+[[nodiscard]] Cycles makespan_lower_bound(const soc::Soc& soc, int tam_width,
+                                          double max_power = 0.0);
 
 /// Lower bound on analog test time under `partition`: the busiest shared
 /// wrapper (tests on one wrapper are serial).

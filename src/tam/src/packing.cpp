@@ -1,7 +1,6 @@
 #include "msoc/tam/packing.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -17,7 +16,7 @@
 
 namespace msoc::tam {
 
-namespace {
+namespace detail {
 
 struct DigitalItem {
   const soc::DigitalCore* core = nullptr;
@@ -36,6 +35,13 @@ struct AnalogRect {
   Cycles duration = 0;
   double power = 0.0;  ///< Core peak at per-core granularity.
 };
+
+}  // namespace detail
+
+namespace {
+
+using detail::AnalogRect;
+using detail::DigitalItem;
 
 struct AnalogGroupItem {
   int group_id = 0;
@@ -475,15 +481,6 @@ std::vector<wrapper::ParetoPoint> slice_pareto(
   return points;
 }
 
-/// Validates a caller-provided ParetoTables hint against this pack.
-void require_pareto_hint_matches(const ParetoTables& hint,
-                                 const soc::Soc& soc, int tam_width) {
-  require(hint.by_core.size() == soc.digital_count(),
-          "pareto_hint does not cover this SOC's digital cores");
-  require(hint.max_width >= tam_width,
-          "pareto_hint computed at a narrower width than this pack");
-}
-
 }  // namespace
 
 ParetoTables compute_pareto_tables(const soc::Soc& soc, int max_width) {
@@ -499,20 +496,6 @@ ParetoTables compute_pareto_tables(const soc::Soc& soc, int max_width) {
 
 double effective_max_power(const soc::Soc& soc, double budget) {
   return budget < 0.0 ? soc.max_power() : budget;
-}
-
-void require_packable(const soc::Soc& soc, int tam_width, double max_power) {
-  require(tam_width >= 1, "TAM width must be >= 1");
-  int widest = 0;
-  for (const soc::AnalogCore& core : soc.analog_cores()) {
-    widest = std::max(widest, core.tam_width());
-  }
-  require(widest <= tam_width,
-          "analog wrapper needs more TAM wires than the SOC has");
-  // A single test hotter than the whole budget can never be admitted —
-  // reject up front so the placement fixpoint always terminates.
-  require(max_power <= 0.0 || soc.peak_test_power() <= max_power,
-          "test power exceeds the SOC power budget");
 }
 
 soc::PowerWindow effective_power_window(const soc::Soc& soc,
@@ -542,160 +525,182 @@ AnalogPartition all_share_partition(const soc::Soc& soc) {
   return p;
 }
 
-Schedule schedule_soc(const soc::Soc& soc, int tam_width,
-                      const AnalogPartition& partition,
-                      const PackingOptions& options) {
-  const double max_power = effective_max_power(soc, options.max_power);
-  require_packable(soc, tam_width, max_power);
-  const soc::PowerWindow window = effective_power_window(soc, options);
-
-  // --- Validate the partition covers each analog core exactly once. ---
-  std::set<std::string> seen;
-  for (const auto& group : partition) {
-    require(!group.empty(), "empty wrapper group in partition");
-    for (const std::string& name : group) {
-      (void)soc.analog_by_name(name);  // throws if unknown
-      if (!seen.insert(name).second) {
-        throw InfeasibleError("analog core appears twice in partition: " +
-                              name);
-      }
-    }
+Packer::Packer(const soc::Soc& soc, int tam_width,
+               const PackingOptions& options, const ParetoTables* tables)
+    : soc_(soc),
+      tam_width_(tam_width),
+      options_(options),
+      max_power_(effective_max_power(soc, options.max_power)) {
+  require(tam_width >= 1, "TAM width must be >= 1");
+  for (const soc::AnalogCore& core : soc.analog_cores()) {
+    require(core.tam_width() <= tam_width,
+            "analog wrapper needs more TAM wires than the SOC has");
   }
-  require(seen.size() == soc.analog_count(),
-          "partition must cover every analog core exactly once");
-
-  // --- Build items. ---
-  if (options.pareto_hint != nullptr) {
-    require_pareto_hint_matches(*options.pareto_hint, soc, tam_width);
+  // A single test hotter than the whole budget can never be admitted —
+  // reject up front so the placement fixpoint always terminates.
+  require(max_power_ <= 0.0 || soc.peak_test_power() <= max_power_,
+          "test power exceeds the SOC power budget");
+  window_ = effective_power_window(soc, options);
+  if (tables != nullptr) {
+    require(tables->by_core.size() == soc.digital_count(),
+            "pareto tables do not cover this SOC's digital cores");
+    require(tables->max_width >= tam_width,
+            "pareto tables computed at a narrower width than this pack");
   }
-  std::vector<DigitalItem> digital;
-  std::size_t core_index = 0;
+
+  // --- Digital items, and the makespan lower bound over their full
+  // staircases (see makespan_lower_bound). ---
+  Cycles area = 0;
+  Cycles longest_single = 0;
+  double energy = 0.0;
+  digital_.reserve(soc.digital_count());
   for (const soc::DigitalCore& core : soc.digital_cores()) {
     DigitalItem item;
     item.core = &core;
-    item.pareto =
-        options.pareto_hint != nullptr
-            ? slice_pareto(options.pareto_hint->by_core[core_index],
-                           tam_width)
-            : wrapper::pareto_widths(core, tam_width);
-    ++core_index;
-    if (!options.flexible_width) {
-      // Ablation: only the widest Pareto point is allowed.
-      item.pareto = {item.pareto.back()};
-    }
+    item.pareto = tables != nullptr
+                      ? slice_pareto(tables->by_core[digital_.size()],
+                                     tam_width)
+                      : wrapper::pareto_widths(core, tam_width);
     const wrapper::ParetoPoint& widest = item.pareto.back();
+    // Area bound uses the most wire-efficient point (smallest w*t).
+    Cycles best_area = 0;
+    for (const wrapper::ParetoPoint& p : item.pareto) {
+      const Cycles a = static_cast<Cycles>(p.width) * p.time;
+      if (best_area == 0 || a < best_area) best_area = a;
+    }
+    area += best_area;
+    longest_single = std::max(longest_single, widest.time);
+    energy += core.power * static_cast<double>(widest.time);
     item.area = static_cast<Cycles>(widest.width) * widest.time;
     item.power = core.power;
-    digital.push_back(std::move(item));
+    if (!options.flexible_width) {
+      // Ablation: only the widest Pareto point is allowed.
+      item.pareto = {widest};
+    }
+    digital_.push_back(std::move(item));
   }
 
-  std::vector<AnalogGroupItem> groups;
-  int group_id = 0;
-  for (const auto& group : partition) {
-    AnalogGroupItem item;
-    item.group_id = group_id++;
-    for (const std::string& name : group) {
-      const soc::AnalogCore& core = soc.analog_by_name(name);
-      if (options.analog_per_test) {
-        for (const soc::AnalogTestSpec& test : core.tests) {
-          item.rects.push_back(AnalogRect{&core, test.name, test.tam_width,
-                                          test.cycles, test.power});
-          item.total_cycles += test.cycles;
-        }
-      } else {
-        // A whole-core rectangle runs its tests back to back, so it
-        // must be admitted at the core's peak dissipation.
-        item.rects.push_back(AnalogRect{&core, "", core.tam_width(),
-                                        core.total_cycles(),
-                                        core.max_power()});
-        item.total_cycles += core.total_cycles();
+  // --- Analog rectangles per core, and their share of the bound. ---
+  analog_.reserve(soc.analog_count());
+  for (const soc::AnalogCore& core : soc.analog_cores()) {
+    std::vector<AnalogRect>& rects = analog_.emplace_back();
+    if (options.analog_per_test) {
+      for (const soc::AnalogTestSpec& test : core.tests) {
+        rects.push_back(AnalogRect{&core, test.name, test.tam_width,
+                                   test.cycles, test.power});
       }
-      item.width = std::max(item.width, core.tam_width());
+    } else {
+      // A whole-core rectangle runs its tests back to back, so it must
+      // be admitted at the core's peak dissipation.
+      rects.push_back(AnalogRect{&core, "", core.tam_width(),
+                                 core.total_cycles(), core.max_power()});
     }
-    std::sort(item.rects.begin(), item.rects.end(), rect_before);
-    groups.push_back(std::move(item));
+    for (const soc::AnalogTestSpec& test : core.tests) {
+      area += static_cast<Cycles>(test.tam_width) * test.cycles;
+      energy += test.power * static_cast<double>(test.cycles);
+    }
+  }
+
+  lower_bound_ = std::max((area + static_cast<Cycles>(tam_width) - 1) /
+                              static_cast<Cycles>(tam_width),
+                          longest_single);
+  if (max_power_ > 0.0) {
+    // No admitted instant draws more than budget + slack.  Rounding
+    // residue in the sum is far below one cycle, so flooring keeps the
+    // bound low.
+    lower_bound_ = std::max(
+        lower_bound_,
+        static_cast<Cycles>(std::floor(
+            energy / (max_power_ + budget_slack(max_power_)))));
   }
 
   // Windowed analogue of the peak pre-check: every item must be
   // admissible on an empty timeline at its LONGEST candidate duration
   // (min(duration, window) in the integral makes the longest shape the
   // binding one), so the windowed retry fixpoint always terminates.
-  if (window.active()) {
-    const WindowedPowerProfile probe(window.cycles, window.limit);
-    for (const DigitalItem& d : digital) {
+  if (window_.active()) {
+    const WindowedPowerProfile probe(window_.cycles, window_.limit);
+    for (const DigitalItem& d : digital_) {
       require(probe.admits_alone(d.power, d.pareto.front().time),
               "test power exceeds the windowed power budget: " +
                   d.core->name);
     }
-    for (const AnalogGroupItem& g : groups) {
-      for (const AnalogRect& r : g.rects) {
+    for (const std::vector<AnalogRect>& rects : analog_) {
+      for (const AnalogRect& r : rects) {
         require(probe.admits_alone(r.power, r.duration),
                 "test power exceeds the windowed power budget: " +
                     r.core->name);
       }
     }
   }
+}
+
+Packer::~Packer() = default;
+
+Schedule Packer::schedule(const AnalogPartition& partition) const {
+  // --- One group item per wrapper, checking that the partition covers
+  // each analog core exactly once. ---
+  std::set<std::string> seen;
+  std::vector<AnalogGroupItem> groups;
+  for (const auto& group : partition) {
+    require(!group.empty(), "empty wrapper group in partition");
+    AnalogGroupItem item;
+    item.group_id = static_cast<int>(groups.size());
+    for (const std::string& name : group) {
+      const soc::AnalogCore& core = soc_.analog_by_name(name);  // or throws
+      if (!seen.insert(name).second) {
+        throw InfeasibleError("analog core appears twice in partition: " +
+                              name);
+      }
+      const auto index =
+          static_cast<std::size_t>(&core - soc_.analog_cores().data());
+      for (const AnalogRect& rect : analog_[index]) {
+        item.rects.push_back(rect);
+        item.total_cycles += rect.duration;
+      }
+      item.width = std::max(item.width, core.tam_width());
+    }
+    std::sort(item.rects.begin(), item.rects.end(), rect_before);
+    groups.push_back(std::move(item));
+  }
+  require(seen.size() == soc_.analog_count(),
+          "partition must cover every analog core exactly once");
 
   // --- Pack (racing placement orders unless disabled). ---
   Schedule best =
-      pack_best(digital, groups, tam_width, max_power, window, options);
+      pack_best(digital_, groups, tam_width_, max_power_, window_, options_);
 
   // --- Monotonicity guard. ---
   // The greedy packer is anomalous: relaxing serialization constraints
   // (splitting wrappers) can steer it to a LONGER schedule than the
   // all-share arrangement, even though any all-share schedule satisfies
-  // every partition's constraints.  Race the fully-serialized arrangement
-  // too: its pack is bit-identical to the all-share partition's (same
-  // items, same deterministic order), so refining a partition can never
-  // make schedule_soc worse than the all-share baseline.
-  if (options.serialized_fallback && groups.size() > 1) {
-    Schedule serialized;
-    if (options.serialized_hint != nullptr) {
-      std::size_t rect_count = 0;
-      for (const AnalogGroupItem& g : groups) rect_count += g.rects.size();
-      require(options.serialized_hint->tam_width == tam_width &&
-                  options.serialized_hint->max_power == max_power &&
-                  options.serialized_hint->window_cycles == window.cycles &&
-                  options.serialized_hint->window_limit == window.limit &&
-                  options.serialized_hint->tests.size() ==
-                      digital.size() + rect_count,
-              "serialized_hint does not match this SOC/width");
-      serialized = *options.serialized_hint;
-    } else {
-      AnalogGroupItem merged;
-      for (const AnalogGroupItem& g : groups) {
-        merged.rects.insert(merged.rects.end(), g.rects.begin(),
-                            g.rects.end());
-        merged.total_cycles += g.total_cycles;
-        merged.width = std::max(merged.width, g.width);
-      }
-      std::sort(merged.rects.begin(), merged.rects.end(), rect_before);
-      serialized = pack_best(digital, {std::move(merged)}, tam_width,
-                             max_power, window, options);
+  // every partition's constraints.  Race the fully-serialized
+  // arrangement too: the all-share schedule, packed from the same
+  // items in the same deterministic order, so refining a partition can
+  // never make the result worse than the all-share baseline.
+  if (options_.serialized_fallback && groups.size() > 1 &&
+      all_share().makespan() < best.makespan()) {
+    // All analog tests in the serialized schedule are pairwise disjoint
+    // in time, so relabeling them to the requested partition's wrapper
+    // groups keeps every per-wrapper serialization constraint satisfied.
+    std::map<std::string, int> group_of;
+    for (const AnalogGroupItem& g : groups) {
+      for (const AnalogRect& r : g.rects) group_of[r.core->name] = g.group_id;
     }
-    if (serialized.makespan() < best.makespan()) {
-      // All analog tests in the serialized schedule are pairwise disjoint
-      // in time, so relabeling them to the requested partition's wrapper
-      // groups keeps every per-wrapper serialization constraint satisfied.
-      std::map<std::string, int> group_of;
-      for (const AnalogGroupItem& g : groups) {
-        for (const AnalogRect& r : g.rects) group_of[r.core->name] = g.group_id;
-      }
-      best = std::move(serialized);
-      for (ScheduledTest& t : best.tests) {
-        if (t.kind == TestKind::kAnalog) {
-          t.wrapper_group = group_of.at(t.core_name);
-        }
+    best = all_share();
+    for (ScheduledTest& t : best.tests) {
+      if (t.kind == TestKind::kAnalog) {
+        t.wrapper_group = group_of.at(t.core_name);
       }
     }
   }
 
-  if (options.assign_wires) assign_wires(best);
+  if (options_.assign_wires) assign_wires(best);
   // Under a power budget the packer polices itself on every output:
   // check_schedule re-walks capacity, power (peak and windowed) and
   // serialization, and any violation is a packer bug, not a caller
   // error.
-  if (max_power > 0.0 || window.active()) {
+  if (max_power_ > 0.0 || window_.active()) {
     const std::vector<ScheduleViolation> violations = check_schedule(best);
     check_invariant(violations.empty(),
                     violations.empty()
@@ -707,53 +712,25 @@ Schedule schedule_soc(const soc::Soc& soc, int tam_width,
   return best;
 }
 
+const Schedule& Packer::all_share() const {
+  std::call_once(all_share_once_, [this] {
+    all_share_ = schedule(all_share_partition(soc_));
+  });
+  return all_share_;
+}
+
+Schedule schedule_soc(const soc::Soc& soc, int tam_width,
+                      const AnalogPartition& partition,
+                      const PackingOptions& options) {
+  return Packer(soc, tam_width, options).schedule(partition);
+}
+
 Cycles makespan_lower_bound(const soc::Soc& soc, int tam_width,
-                            double max_power,
-                            const ParetoTables* pareto_hint) {
-  require(tam_width >= 1, "TAM width must be >= 1");
-  if (pareto_hint != nullptr) {
-    require_pareto_hint_matches(*pareto_hint, soc, tam_width);
-  }
-  Cycles area = 0;
-  Cycles longest_single = 0;
-  double energy = 0.0;
-  std::size_t core_index = 0;
-  for (const soc::DigitalCore& core : soc.digital_cores()) {
-    const std::vector<wrapper::ParetoPoint> pareto =
-        pareto_hint != nullptr
-            ? slice_pareto(pareto_hint->by_core[core_index],
-                           tam_width)
-            : wrapper::pareto_widths(core, tam_width);
-    ++core_index;
-    const wrapper::ParetoPoint& widest = pareto.back();
-    // Area bound uses the most wire-efficient point (smallest w*t).
-    Cycles best_area = 0;
-    for (const wrapper::ParetoPoint& p : pareto) {
-      const Cycles a = static_cast<Cycles>(p.width) * p.time;
-      if (best_area == 0 || a < best_area) best_area = a;
-    }
-    area += best_area;
-    longest_single = std::max(longest_single, widest.time);
-    energy += core.power * static_cast<double>(widest.time);
-  }
-  for (const soc::AnalogCore& core : soc.analog_cores()) {
-    for (const soc::AnalogTestSpec& test : core.tests) {
-      area += static_cast<Cycles>(test.tam_width) * test.cycles;
-      energy += test.power * static_cast<double>(test.cycles);
-    }
-  }
-  Cycles bound = std::max((area + static_cast<Cycles>(tam_width) - 1) /
-                              static_cast<Cycles>(tam_width),
-                          longest_single);
-  if (max_power > 0.0) {
-    // No admitted instant draws more than budget + slack.  Rounding
-    // residue in the sum is far below one cycle, so flooring keeps the
-    // bound low.
-    bound = std::max(bound, static_cast<Cycles>(std::floor(
-                                energy / (max_power +
-                                          budget_slack(max_power)))));
-  }
-  return bound;
+                            double max_power) {
+  PackingOptions options;
+  options.max_power = max_power;
+  options.window_limit = 0.0;  // the bound reads no window
+  return Packer(soc, tam_width, options).makespan_lower_bound();
 }
 
 Cycles analog_lower_bound(const soc::Soc& soc,

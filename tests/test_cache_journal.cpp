@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "deadline_fifo.hpp"
 #include "msoc/common/error.hpp"
 #include "msoc/common/fileio.hpp"
 #include "msoc/common/journal.hpp"
@@ -203,6 +205,24 @@ TEST(CacheJournal, FlushAppendsAndAFreshCacheReplays) {
   }
   EXPECT_EQ(reader.corrupt_files(), 0);
   EXPECT_EQ(reader.torn_tails(), 0);
+}
+
+TEST(CacheJournal, FifoAtASnapshotOrJournalPathIsAbsent) {
+  // Either file replaced by a FIFO reads as a store without entries,
+  // at once: opening a FIFO read-only would wait for a writer.
+  for (const char* name : {"ab12cd34ef56ab78.snap", "journal.wal"}) {
+    const std::string dir = fresh_dir(std::string("fifo_") + name);
+    fs::create_directories(fs::path(dir) / "ab");
+    const test::DeadlineFifo fifo((fs::path(dir) / "ab" / name).string());
+    ASSERT_TRUE(fifo.created()) << name;
+    const auto started = std::chrono::steady_clock::now();
+    ResultCache cache(dir);
+    cache.open(kDigest);
+    EXPECT_FALSE(cache.lookup(kDigest, key_of(16, 0.0, 0)).has_value());
+    EXPECT_LT(std::chrono::steady_clock::now() - started,
+              test::DeadlineFifo::kDeadline)
+        << name << ": waited for a writer";
+  }
 }
 
 TEST(CacheJournal, SecondFlushIsAnAppendNotARewrite) {

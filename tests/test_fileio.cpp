@@ -4,11 +4,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <string>
 #include <thread>
 
+#include "deadline_fifo.hpp"
 #include "msoc/common/error.hpp"
+#include "msoc/common/file_lock.hpp"
 
 namespace msoc {
 namespace {
@@ -48,6 +51,21 @@ TEST(FileIo, ReadFileReadsAPipeToItsEnd) {
   ::close(fds[1]);
   EXPECT_EQ(read_file("/dev/fd/" + std::to_string(fds[0])), content);
   ::close(fds[0]);
+}
+
+TEST(FileIo, FifoIsAbsentWithoutWaitingForAWriter) {
+  // A FIFO at a cache path reads as absent at once: opening one
+  // read-only would wait for a writer.
+  const std::string dir = unique_dir("fileio_fifo");
+  ensure_directory(dir);
+  const test::DeadlineFifo fifo(dir + "/pipe");
+  ASSERT_TRUE(fifo.created());
+  const auto started = std::chrono::steady_clock::now();
+  EXPECT_EQ(read_file_if_exists(fifo.path()), std::nullopt);
+  EXPECT_FALSE(FileLock::shared_if_exists(fifo.path()).has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - started,
+            test::DeadlineFifo::kDeadline)
+      << "waited for a writer";
 }
 
 TEST(FileIo, ReadThroughNonDirectoryComponentReturnsNullopt) {

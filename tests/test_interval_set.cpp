@@ -129,7 +129,9 @@ TEST(IntervalSetProperty, RandomInsertsKeepCanonicalForm) {
     ASSERT_FALSE(v.empty());
     for (std::size_t i = 0; i < v.size(); ++i) {
       EXPECT_LT(v[i].first, v[i].second);
-      if (i > 0) EXPECT_GT(v[i].first, v[i - 1].second);
+      if (i > 0) {
+        EXPECT_GT(v[i].first, v[i - 1].second);
+      }
     }
   }
 }

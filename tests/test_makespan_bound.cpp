@@ -8,6 +8,11 @@
 // widths 8-64, and two SOCs built so that a looser argument fails (a
 // whole-core analog area under per-test packing, an energy bound that
 // ignores the packer's budget slack).
+//
+// The same loop pins tam::Packer, the engine's per-cell packer, to the
+// free functions: one Packer built from lent staircase tables schedules
+// every partition test for test as schedule_soc does, and reports the
+// same bound.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +26,7 @@
 #include "msoc/soc/benchmarks.hpp"
 #include "msoc/soc/itc02.hpp"
 #include "msoc/tam/packing.hpp"
+#include "schedule_checks.hpp"
 
 namespace msoc::tam {
 namespace {
@@ -91,43 +97,35 @@ soc::Soc powered_synthetic(std::uint64_t seed) {
   return soc::make_synthetic_soc(params);
 }
 
-/// Packs every partition of `soc` (no-sharing included) at widths 8-64
-/// under each of `budgets` (PackingOptions::max_power's convention) at
-/// both analog granularities, and checks the bound against every
-/// makespan.
+/// Packs every partition of `soc` at widths 8-64 under each of
+/// `budgets` (PackingOptions::max_power's convention) at both analog
+/// granularities, checks the bound against every makespan, and one
+/// Packer over lent tables against schedule_soc.
 void expect_bound_admissible(const soc::Soc& soc,
                              const std::vector<double>& budgets) {
   const ParetoTables tables = compute_pareto_tables(soc, 64);
-  mswrap::EnumerationOptions every_partition;
-  every_partition.include_no_sharing = true;
-  std::vector<AnalogPartition> partitions;
-  for (const mswrap::SharingEvaluation& e : mswrap::evaluate_combinations(
-           soc.analog_cores(), {}, {}, every_partition)) {
-    partitions.push_back(
-        mswrap::to_analog_partition(soc.analog_cores(), e.partition));
-  }
+  const std::vector<AnalogPartition> partitions = every_partition(soc);
   int packs = 0;
   for (int width = 8; width <= 64; width += 8) {
     for (const double budget : budgets) {
       const double max_power = effective_max_power(soc, budget);
+      Cycles bound = 0;
       try {
-        require_packable(soc, width, max_power);
+        bound = makespan_lower_bound(soc, width, max_power);
       } catch (const InfeasibleError&) {
         continue;  // no schedule exists to bound
       }
-      const Cycles bound = makespan_lower_bound(soc, width, max_power);
-      ASSERT_EQ(bound, makespan_lower_bound(soc, width, max_power, &tables));
       for (const bool per_test : {false, true}) {
         PackingOptions options;
         options.max_power = budget;
         options.analog_per_test = per_test;
-        options.pareto_hint = &tables;
-        const Schedule all_share =
-            schedule_soc(soc, width, all_share_partition(soc), options);
-        options.serialized_hint = &all_share;
+        const Packer packer(soc, width, options, &tables);
+        ASSERT_EQ(packer.makespan_lower_bound(), bound);
         for (const AnalogPartition& partition : partitions) {
-          const Cycles makespan =
-              schedule_soc(soc, width, partition, options).makespan();
+          const Schedule schedule = packer.schedule(partition);
+          expect_same_schedule(schedule,
+                               schedule_soc(soc, width, partition, options));
+          const Cycles makespan = schedule.makespan();
           EXPECT_LE(std::max(bound, analog_lower_bound(soc, partition)),
                     makespan)
               << soc.name() << " W=" << width << " P=" << max_power
