@@ -10,7 +10,7 @@
 
 #include "msoc/common/table.hpp"
 #include "msoc/mswrap/placement.hpp"
-#include "msoc/plan/optimizer.hpp"
+#include "msoc/plan/frontier.hpp"
 #include "msoc/soc/benchmarks.hpp"
 
 int main() {
@@ -37,9 +37,9 @@ int main() {
                        Align::kRight, Align::kRight, Align::kRight});
 
   for (const Scenario& scenario : scenarios) {
-    plan::PlanningProblem problem;
-    problem.soc = &soc;
-    problem.tam_width = 48;
+    plan::FrontierOptions options;
+    options.widths = {48};
+    options.exhaustive = true;
     if (scenario.use_floorplan) {
       // Five cores on a ring whose radius sets how far apart they sit
       // relative to the rest of the die (mean distance normalization
@@ -53,21 +53,20 @@ int main() {
       // Anchor scale: two reference pseudo-positions far apart would be
       // ideal, but the model normalizes by the mean analog pair
       // distance; re-scale beta instead to express absolute distance.
-      problem.area_model.set_floorplan(
+      options.area_model.set_floorplan(
           mswrap::Floorplan(std::move(positions)));
       mswrap::AreaModelParams params;
       params.beta = 0.25 * (scenario.spread >= 0.5 ? 2.0 : 0.4);
       mswrap::WrapperAreaModel scaled(params);
       scaled.set_floorplan(mswrap::ring_floorplan(5, 1.0));
-      problem.area_model = scaled;
+      options.area_model = scaled;
     }
 
-    plan::CostModel model(problem);
-    const plan::OptimizationResult best = plan::optimize_exhaustive(model);
-    table.add_row({scenario.name, best.best.label,
-                   fixed(best.best.total, 1), fixed(best.best.c_time, 1),
-                   fixed(best.best.c_area, 1),
-                   std::to_string(best.best.partition.wrapper_count())});
+    const plan::CombinationCost best =
+        plan::FrontierEngine(soc, options).run().points.front().best;
+    table.add_row({scenario.name, best.label, fixed(best.total, 1),
+                   fixed(best.c_time, 1), fixed(best.c_area, 1),
+                   std::to_string(best.partition.wrapper_count())});
   }
   std::fputs(table.to_string().c_str(), stdout);
   std::puts("\n(clustering lowers routing overhead -> more sharing wins; "

@@ -24,9 +24,9 @@
 #include <vector>
 
 #include "msoc/common/format.hpp"
-#include "msoc/plan/cost_model.hpp"
 #include "msoc/plan/frontier.hpp"
 #include "msoc/soc/benchmarks.hpp"
+#include "msoc/tam/packing.hpp"
 #include "msoc/tam/schedule.hpp"
 
 namespace {
@@ -104,12 +104,12 @@ int main(int argc, char** argv) {
     }
     // Re-derive the winning schedule and re-walk it: the bench gate is
     // the external validity oracle, not the packer's own invariant.
-    plan::PlanningProblem problem;
-    problem.soc = &soc;
-    problem.tam_width = p.tam_width;
-    problem.packing.max_power = p.max_power;
-    plan::CostModel model(problem);
-    tam::Schedule schedule = model.schedule_for(p.best.partition);
+    tam::PackingOptions packing;
+    packing.max_power = p.max_power;
+    tam::Schedule schedule = tam::schedule_soc(
+        soc, p.tam_width,
+        mswrap::to_analog_partition(soc.analog_cores(), p.best.partition),
+        packing);
     schedule.max_power = p.max_power;
     const std::vector<tam::ScheduleViolation> violations =
         tam::check_schedule(schedule);

@@ -1,11 +1,12 @@
 // Parallel-evaluation perf trajectory.
 //
-// Times optimize_exhaustive on the built-in p93791m benchmark across a
-// jobs ladder (1, 2, 4, all cores), verifies every run returns
-// bit-identical results, then runs the default benchmark sweep and writes
-// the whole trajectory as JSON (schema "msoc-sweep-perf-v1") for CI to
-// archive.  Exits non-zero when any parallel run diverges from serial —
-// this doubles as the determinism gate for the speedup numbers it prints.
+// Times a one-width exhaustive plan::FrontierEngine run on the built-in
+// p93791m benchmark (W=32, w_T=0.5) across a jobs ladder (1, 2, 4, all
+// cores), verifies every run returns bit-identical results, then runs
+// the default benchmark sweep and writes the whole trajectory as JSON
+// (schema "msoc-sweep-perf-v1") for CI to archive.  Exits non-zero when
+// any parallel run diverges from serial — this doubles as the
+// determinism gate for the speedup numbers it prints.
 //
 // Usage: sweep_perf [output.json]
 
@@ -17,7 +18,7 @@
 #include <vector>
 
 #include "msoc/common/parallel.hpp"
-#include "msoc/plan/optimizer.hpp"
+#include "msoc/plan/frontier.hpp"
 #include "msoc/plan/sweep.hpp"
 #include "msoc/soc/benchmarks.hpp"
 
@@ -29,20 +30,12 @@ struct ScalingPoint {
   int jobs = 0;
   double wall_ms = 0.0;
   double speedup = 1.0;
-  msoc::plan::OptimizationResult result;
+  msoc::plan::FrontierPoint result;
   bool identical = true;
 };
 
-double time_once(msoc::plan::CostModel& model, int jobs,
-                 msoc::plan::OptimizationResult* out) {
-  const Clock::time_point start = Clock::now();
-  *out = msoc::plan::optimize_exhaustive(model, jobs);
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-bool same_result(const msoc::plan::OptimizationResult& a,
-                 const msoc::plan::OptimizationResult& b) {
+bool same_result(const msoc::plan::FrontierPoint& a,
+                 const msoc::plan::FrontierPoint& b) {
   return a.best.partition == b.best.partition &&
          a.best.test_time == b.best.test_time && a.best.total == b.best.total &&
          a.evaluations == b.evaluations &&
@@ -56,32 +49,36 @@ int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_sweep.json";
 
   const soc::Soc soc = soc::make_p93791m();
-  plan::PlanningProblem problem;
-  problem.soc = &soc;
-  problem.tam_width = 32;
-  problem.weights = {0.5, 0.5};
+  plan::FrontierOptions options;
+  options.widths = {32};
+  options.weights = {0.5, 0.5};
+  options.exhaustive = true;
 
   std::vector<int> ladder = {1, 2, 4};
   if (hardware_jobs() > 4) ladder.push_back(hardware_jobs());
 
-  std::printf("optimize_exhaustive on p93791m (W=32, w_T=0.5), "
+  std::printf("exhaustive FrontierEngine on p93791m (W=32, w_T=0.5), "
               "%d hardware threads\n",
               hardware_jobs());
   std::vector<ScalingPoint> points;
   for (const int jobs : ladder) {
     ScalingPoint p;
     p.jobs = jobs;
-    // Best of three runs: the TAM cache must not leak between runs, so
-    // each run gets a fresh CostModel (its construction — the serial
-    // T_max baseline — is excluded from the timing).  EVERY run must
-    // match the jobs=1 reference, not just the first: a scheduling-
-    // dependent divergence can show up in any repetition.
+    // Best of three runs, each on a fresh engine whose construction
+    // (enumeration and staircases, all serial) is excluded from the
+    // timing.  EVERY run must match the jobs=1 reference, not just the
+    // first: a scheduling-dependent divergence can show up in any
+    // repetition.
+    options.jobs = jobs;
     p.wall_ms = 0.0;
     p.identical = true;
     for (int run = 0; run < 3; ++run) {
-      plan::CostModel model(problem);
-      plan::OptimizationResult result;
-      const double ms = time_once(model, jobs, &result);
+      plan::FrontierEngine engine(soc, options);
+      const Clock::time_point start = Clock::now();
+      const plan::FrontierPoint result = engine.run().points.front();
+      const double ms =
+          std::chrono::duration<double, std::milli>(Clock::now() - start)
+              .count();
       if (run == 0) p.result = result;
       p.identical &= same_result(
           result, points.empty() ? p.result : points.front().result);

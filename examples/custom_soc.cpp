@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <sstream>
 
-#include "msoc/plan/optimizer.hpp"
+#include "msoc/plan/frontier.hpp"
 #include "msoc/soc/itc02.hpp"
 #include "msoc/testsim/replay.hpp"
 
@@ -78,20 +78,21 @@ int main() {
               loaded.digital_count(), loaded.analog_count());
 
   // --- plan at a narrow consumer-grade TAM ---
-  for (int width : {8, 16}) {
-    plan::PlanningProblem problem;
-    problem.soc = &loaded;
-    problem.tam_width = width;
-    problem.weights = {0.4, 0.6};  // area matters in this market
-
-    plan::CostModel model(problem);
-    const plan::OptimizationResult best = plan::optimize_exhaustive(model);
-    const tam::Schedule schedule = model.schedule_for(best.best.partition);
+  plan::FrontierOptions options;
+  options.widths = {8, 16};
+  options.weights = {0.4, 0.6};  // area matters in this market
+  options.exhaustive = true;
+  for (const plan::FrontierPoint& point :
+       plan::FrontierEngine(loaded, options).run().points) {
+    const tam::Schedule schedule = tam::schedule_soc(
+        loaded, point.tam_width,
+        mswrap::to_analog_partition(loaded.analog_cores(),
+                                    point.best.partition));
     const testsim::ReplayReport replay = testsim::replay(loaded, schedule);
 
     std::printf("W=%-2d best plan %-14s cost %.1f, makespan %llu cycles, "
                 "%s\n",
-                width, best.best.label.c_str(), best.best.total,
+                point.tam_width, point.best.label.c_str(), point.best.total,
                 static_cast<unsigned long long>(schedule.makespan()),
                 replay.clean() ? "replay OK" : "REPLAY FAILED");
   }

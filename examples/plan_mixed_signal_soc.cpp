@@ -8,8 +8,8 @@
 #include <cstdio>
 #include <fstream>
 
-#include "msoc/plan/optimizer.hpp"
-#include "msoc/plan/report.hpp"
+#include "msoc/plan/frontier.hpp"
+#include "msoc/plan/request.hpp"
 #include "msoc/soc/benchmarks.hpp"
 #include "msoc/testsim/replay.hpp"
 
@@ -21,47 +21,41 @@ int main() {
 
   // --- sweep widths at balanced weights ---
   std::puts("W    exhaustive-cost  heuristic-cost  N(exh)  N(heur)  plan");
-  for (int width : {24, 32, 48, 64}) {
-    plan::PlanningProblem problem;
-    problem.soc = &soc;
-    problem.tam_width = width;
-
-    plan::CostModel exhaustive_model(problem);
-    const plan::OptimizationResult exhaustive =
-        plan::optimize_exhaustive(exhaustive_model);
-
-    plan::CostModel heuristic_model(problem);
-    const plan::HeuristicResult heuristic =
-        plan::optimize_cost_heuristic(heuristic_model);
-
-    std::printf("%-4d %15.2f %15.2f %7d %8d  %s\n", width,
-                exhaustive.best.total, heuristic.best.total,
-                exhaustive.evaluations, heuristic.evaluations,
-                heuristic.best.label.c_str());
+  plan::FrontierOptions ladder;
+  ladder.widths = {24, 32, 48, 64};
+  const plan::FrontierResult heuristic =
+      plan::FrontierEngine(soc, ladder).run();
+  ladder.exhaustive = true;
+  const plan::FrontierResult exhaustive =
+      plan::FrontierEngine(soc, ladder).run();
+  for (std::size_t i = 0; i < heuristic.points.size(); ++i) {
+    const plan::FrontierPoint& e = exhaustive.points[i];
+    const plan::FrontierPoint& h = heuristic.points[i];
+    // The paper's N counts the members the engine's bound skipped too.
+    std::printf("%-4d %15.2f %15.2f %7d %8d  %s\n", h.tam_width,
+                e.best.total, h.best.total, e.evaluations,
+                h.evaluations + h.pruned, h.best.label.c_str());
   }
 
   // --- weight study at W = 48 ---
   std::puts("\nweight study at W = 48:");
   for (double w_time : {0.25, 0.5, 0.75}) {
-    plan::PlanningProblem problem;
-    problem.soc = &soc;
-    problem.tam_width = 48;
-    problem.weights = {w_time, 1.0 - w_time};
-    plan::CostModel model(problem);
-    const plan::HeuristicResult r = plan::optimize_cost_heuristic(model);
+    plan::FrontierOptions options;
+    options.widths = {48};
+    options.weights = {w_time, 1.0 - w_time};
+    const plan::CombinationCost r =
+        plan::FrontierEngine(soc, options).run().points.front().best;
     std::printf("  w_T=%.2f w_A=%.2f -> %-18s (C=%.1f, C_time=%.1f, "
                 "C_A=%.1f)\n",
-                w_time, 1.0 - w_time, r.best.label.c_str(), r.best.total,
-                r.best.c_time, r.best.c_area);
+                w_time, 1.0 - w_time, r.label.c_str(), r.total, r.c_time,
+                r.c_area);
   }
 
   // --- validate and export the W=48 balanced plan ---
-  plan::PlanningProblem problem;
-  problem.soc = &soc;
-  problem.tam_width = 48;
-  plan::CostModel model(problem);
-  const plan::HeuristicResult best = plan::optimize_cost_heuristic(model);
-  const tam::Schedule schedule = model.schedule_for(best.best.partition);
+  plan::PlanRequest request;
+  request.width = 48;
+  const plan::PlanOutcome outcome = plan::execute(request, {soc}, nullptr);
+  const tam::Schedule& schedule = *outcome.schedule;
 
   const testsim::ReplayReport report = testsim::replay(soc, schedule);
   std::printf("\nreplay check: %s\n", report.summary().c_str());

@@ -1,13 +1,14 @@
 // Quickstart: plan the test of a mixed-signal SOC in ~30 lines.
 //
 //  1. Load the p93791m benchmark (p93791 + five analog cores).
-//  2. Run the Cost_Optimizer heuristic at TAM width 32.
+//  2. Plan it at TAM width 32 with the Cost_Optimizer heuristic, through
+//     the same plan::execute that serves `msoc_plan --width 32`.
 //  3. Print the chosen wrapper-sharing plan, its cost breakdown and the
 //     resulting test schedule.
 
 #include <cstdio>
 
-#include "msoc/plan/optimizer.hpp"
+#include "msoc/plan/request.hpp"
 #include "msoc/soc/benchmarks.hpp"
 #include "msoc/tam/schedule.hpp"
 
@@ -19,15 +20,15 @@ int main() {
   std::printf("SOC %s: %zu digital cores, %zu analog cores\n",
               soc.name().c_str(), soc.digital_count(), soc.analog_count());
 
-  // Describe the planning problem: TAM width and cost weights.
-  plan::PlanningProblem problem;
-  problem.soc = &soc;
-  problem.tam_width = 32;
-  problem.weights = {0.5, 0.5};  // balance test time and area overhead
+  // Describe the request: one plan, TAM width and cost weights.
+  plan::PlanRequest request;
+  request.width = 32;
+  request.w_time = 0.5;  // balance test time and area overhead
 
   // Optimize: the Fig.-3 heuristic prunes the sharing-combination space.
-  plan::CostModel model(problem);
-  const plan::HeuristicResult result = plan::optimize_cost_heuristic(model);
+  const plan::PlanOutcome outcome = plan::execute(request, {soc}, nullptr);
+  const plan::FrontierPoint& result =
+      outcome.sweep->series.front().points.front();
 
   std::printf("\nbest wrapper sharing: %s\n", result.best.label.c_str());
   std::printf("  test time: %llu cycles (C_time = %.1f)\n",
@@ -39,8 +40,8 @@ int main() {
               result.best.total, result.evaluations,
               result.total_combinations - 1);
 
-  // Materialize and display the winning schedule.
-  const tam::Schedule schedule = model.schedule_for(result.best.partition);
+  // Display the winning schedule.
+  const tam::Schedule& schedule = *outcome.schedule;
   std::printf("\nschedule (W=%d, makespan %llu cycles, utilization %.1f%%):\n",
               schedule.tam_width,
               static_cast<unsigned long long>(schedule.makespan()),

@@ -17,9 +17,11 @@ namespace msoc {
 class FileLock {
  public:
   /// Opens (creating if missing) `path` read/write and takes an
-  /// exclusive lock, blocking until granted.  Throws Error when the
-  /// file cannot be opened.
-  [[nodiscard]] static FileLock exclusive(const std::string& path);
+  /// exclusive lock, blocking until granted; nullopt when `path` names
+  /// something other than a regular file (the open never waits on a
+  /// FIFO).  Throws Error on any other open failure.
+  [[nodiscard]] static std::optional<FileLock> exclusive_if_regular(
+      const std::string& path);
 
   /// Opens `path` read-only under a shared lock, blocking until
   /// granted; nullopt when the file does not exist or is not a regular

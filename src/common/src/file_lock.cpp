@@ -35,28 +35,44 @@ void flock_retry(int fd, int operation, const std::string& path) {
   }
 }
 
+/// Locks `fd` (open on `path`) with `operation` when it is a regular
+/// file and returns true; otherwise closes it and returns false: a
+/// FIFO, device or directory holds no journal.
+bool lock_if_regular(int fd, int operation, const std::string& path) {
+  struct stat st{};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return false;
+  }
+  flock_retry(fd, operation, path);
+  return true;
+}
+
 }  // namespace
 
-FileLock FileLock::exclusive(const std::string& path) {
-  const int fd = open_retry(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (fd < 0) fail("cannot open", path);
-  flock_retry(fd, LOCK_EX, path);
+// Both opens pass O_NONBLOCK: opening a FIFO would otherwise wait for
+// its peer.  It changes nothing for a regular file.
+
+std::optional<FileLock> FileLock::exclusive_if_regular(
+    const std::string& path) {
+  const int fd = open_retry(
+      path.c_str(), O_RDWR | O_CREAT | O_NONBLOCK | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    // A directory, or a socket, cannot be opened read/write at all.
+    if (errno == EISDIR || errno == ENXIO) return std::nullopt;
+    fail("cannot open", path);
+  }
+  if (!lock_if_regular(fd, LOCK_EX, path)) return std::nullopt;
   return FileLock(fd, path);
 }
 
 std::optional<FileLock> FileLock::shared_if_exists(const std::string& path) {
-  // O_NONBLOCK: opening a FIFO read-only would wait for a writer.
   const int fd = open_retry(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC, 0);
   if (fd < 0) {
     if (errno == ENOENT) return std::nullopt;
     fail("cannot open", path);
   }
-  struct stat st{};
-  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-    ::close(fd);  // a FIFO, device or directory holds no journal
-    return std::nullopt;
-  }
-  flock_retry(fd, LOCK_SH, path);
+  if (!lock_if_regular(fd, LOCK_SH, path)) return std::nullopt;
   return FileLock(fd, path);
 }
 

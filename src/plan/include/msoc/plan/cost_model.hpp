@@ -12,18 +12,10 @@
 // free analog lower bound:  Prelim = w_T * LB_norm + w_A * C_A.  It is
 // what the Cost_Optimizer heuristic prunes on.
 
-#include <map>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "msoc/common/units.hpp"
-#include "msoc/mswrap/area_model.hpp"
 #include "msoc/mswrap/partition.hpp"
-#include "msoc/mswrap/sharing.hpp"
-#include "msoc/soc/soc.hpp"
-#include "msoc/tam/packing.hpp"
-#include "msoc/tam/schedule.hpp"
 
 namespace msoc::plan {
 
@@ -46,19 +38,6 @@ struct CostWeights {
   return 100.0 * static_cast<double>(test_time) / static_cast<double>(t_max);
 }
 
-/// Everything the planner needs to evaluate combinations on one SOC.
-struct PlanningProblem {
-  const soc::Soc* soc = nullptr;
-  int tam_width = 32;
-  CostWeights weights;
-  mswrap::WrapperAreaModel area_model;
-  mswrap::SharingPolicy policy;
-  mswrap::EnumerationOptions enumeration;
-  tam::PackingOptions packing;
-
-  void validate() const;
-};
-
 /// Full evaluation of one sharing combination.
 struct CombinationCost {
   mswrap::Partition partition;
@@ -77,57 +56,5 @@ struct CombinationCost {
                                     std::string label, double c_area,
                                     Cycles test_time, Cycles t_max,
                                     const CostWeights& weights);
-
-/// Evaluates combinations against one PlanningProblem, memoizing the
-/// expensive TAM-optimizer runs and the T_max baseline: the reference
-/// that plan::FrontierEngine, which builds no CostModel, must match.
-///
-/// Thread safety: evaluate() and run_tam's memo table are guarded by an
-/// internal mutex, the packer is safe to share, and the T_max baseline
-/// is computed eagerly at construction, so concurrent evaluate() calls
-/// on distinct partitions are safe and produce exactly the serial
-/// results (a pack is a pure function of its arguments).  Construction
-/// itself is not concurrent-safe; build the model before fanning out.
-class CostModel {
- public:
-  explicit CostModel(const PlanningProblem& problem);
-
-  /// SOC test time with all analog cores on one wrapper (computed at
-  /// construction — it is the C_time normalization every evaluation
-  /// needs).
-  [[nodiscard]] Cycles t_max() const noexcept { return t_max_; }
-
-  /// Eq. 3 preliminary cost from statically-known quantities.
-  [[nodiscard]] double preliminary_cost(
-      const mswrap::SharingEvaluation& evaluation) const;
-
-  /// Full Eq. 2 evaluation (runs the TAM optimizer; memoized).
-  [[nodiscard]] CombinationCost evaluate(const mswrap::Partition& partition);
-
-  /// Number of distinct TAM-optimizer invocations so far.  The all-share
-  /// baseline is excluded: its schedule is the normalization constant the
-  /// model needs anyway (this matches the paper's evaluation counting).
-  [[nodiscard]] int tam_runs() const;
-
-  [[nodiscard]] const std::vector<soc::AnalogCore>& cores() const {
-    return problem_.soc->analog_cores();
-  }
-  [[nodiscard]] const PlanningProblem& problem() const { return problem_; }
-
-  /// The schedule behind an already-evaluated combination.
-  [[nodiscard]] tam::Schedule schedule_for(
-      const mswrap::Partition& partition) const;
-
- private:
-  [[nodiscard]] Cycles run_tam(const mswrap::Partition& partition);
-
-  PlanningProblem problem_;
-  std::vector<std::string> names_;
-  tam::Packer packer_;
-  Cycles t_max_ = 0;
-  mutable std::mutex mutex_;  ///< Guards tam_runs_ and time_cache_.
-  int tam_runs_ = 0;
-  std::map<mswrap::Partition, Cycles> time_cache_;
-};
 
 }  // namespace msoc::plan

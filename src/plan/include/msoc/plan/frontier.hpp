@@ -1,11 +1,14 @@
 #pragma once
-// Pareto-frontier planning engine: the full (TAM width, test time,
-// Eq. 2 cost) curve for one SOC in one call, instead of independent
-// per-width Cost_Optimizer runs.
+// Pareto-frontier planning engine: the library's one implementation of
+// the paper's Cost_Optimizer (Fig. 3) and its exhaustive baseline, run
+// over a whole (TAM width, power budget) grid in one call.  A one-width
+// engine answers the paper's per-width question (Table 4, msoc_plan
+// --width); tests/reference_fig3.hpp holds the naive serial reference
+// it must match bit for bit.
 //
 // Every deployment question around the paper's Tables 3-4 is a curve —
-// how do test time and cost move as the width budget moves — and the
-// per-width optimizer re-derives everything from scratch at each
+// how do test time and cost move as the width budget moves — and a
+// per-width optimizer would re-derive everything from scratch at each
 // width.  The engine runs the staged pipeline (docs/architecture.md):
 // stage 1 enumerates the partition space once per SOC
 // (PartitionSpace, msoc/plan/pipeline.hpp), stage 2 resolves
@@ -42,11 +45,10 @@
 // bound strictly exceeds the cheapest representative.  The bound never
 // exceeds the Eq. 2 total and the winner is selected by strict <, so
 // skipping can never change the reported optimum: per-width results
-// are bit-identical to optimize_cost_heuristic / optimize_exhaustive,
-// just cheaper.  Members' evaluations fan out over the common
-// ThreadPool; every skip is decided serially before a fan-out, so
-// results (including evaluation and skip counts) are bit-identical for
-// every jobs value.
+// are bit-identical to the reference's, just cheaper.  Members'
+// evaluations fan out over the common ThreadPool; every skip is
+// decided serially before a fan-out, so results (including evaluation
+// and skip counts) are bit-identical for every jobs value.
 
 #include <optional>
 #include <string>
@@ -176,6 +178,11 @@ struct FrontierResult {
   /// reused column when the result came from a replan.
   [[nodiscard]] std::string to_csv() const;
 };
+
+/// Table 4's %R: the share of `total_combinations` not packed when a
+/// run packed `evaluations` of them, in percent; 0 for an empty space.
+[[nodiscard]] double evaluation_reduction_percent(int evaluations,
+                                                  int total_combinations);
 
 /// Reusable frontier solver for one SOC.  The SOC and the options'
 /// cache are borrowed and must outlive the engine; run() may be called

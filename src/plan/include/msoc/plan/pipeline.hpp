@@ -24,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "msoc/mswrap/area_model.hpp"
+#include "msoc/mswrap/sharing.hpp"
 #include "msoc/plan/cost_model.hpp"
 #include "msoc/soc/delta.hpp"
 #include "msoc/soc/soc.hpp"

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "msoc/plan/cost_model.hpp"
-#include "msoc/plan/optimizer.hpp"
+#include "msoc/plan/frontier.hpp"
 
 namespace msoc::plan {
 
@@ -57,9 +57,12 @@ struct Table3 {
   [[nodiscard]] std::string render() const;
 };
 
+/// C_time of every combination (feasible or not) at each width, packed
+/// under `options`' packing with its area model, policy and
+/// enumeration; the one-wrapper combination is T_max.
 [[nodiscard]] Table3 make_table3(const soc::Soc& soc,
                                  const std::vector<int>& widths,
-                                 const PlanningProblem& base);
+                                 const FrontierOptions& options = {});
 
 // ---------------------------------------------------------------- Table 4
 struct Table4Row {
@@ -86,9 +89,13 @@ struct Table4 {
   [[nodiscard]] std::string render() const;
 };
 
+/// One heuristic and one exhaustive one-width FrontierEngine per
+/// (weights, width) cell, otherwise configured by `options` (its widths,
+/// weights and exhaustive flag are overridden).  N counts the packs
+/// plus the members the engine's bound skipped: the paper's N.
 [[nodiscard]] Table4 make_table4(const soc::Soc& soc,
                                  const std::vector<int>& widths,
                                  const std::vector<CostWeights>& weight_sets,
-                                 const PlanningProblem& base);
+                                 const FrontierOptions& options = {});
 
 }  // namespace msoc::plan

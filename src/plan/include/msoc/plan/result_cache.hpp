@@ -330,8 +330,10 @@ class ResultCache {
   void scan_shard_shared_locked(const std::string& shard_key);
   /// Appends `payloads` to one shard journal under an exclusive lock
   /// (validating and truncating any bad tail first), then compacts
-  /// when past the threshold.  Returns true when it compacted (the
-  /// appended records no longer live in the journal).
+  /// when past the threshold.  Returns true when the records now live
+  /// in the journal: false when it compacted them into snapshots, or
+  /// skipped a journal path that is not a regular file (with a
+  /// warning).
   bool append_shard_locked(const std::string& shard_key,
                            const std::vector<std::string>& payloads);
   /// Folds the (fully scanned) journal of `shard_key` into snapshot

@@ -395,10 +395,10 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
     }
     cell.resolve(survivors);
 
-    // Reduce in exactly optimize_cost_heuristic's order: groups in
-    // shape order; an eliminated group's representative still competes
-    // unless skipped (a strictly cheaper one is considered anyway);
-    // surviving members in enumeration order.
+    // Reduce in exactly Fig. 3's order (tests/reference_fig3.hpp):
+    // groups in shape order; an eliminated group's representative still
+    // competes unless skipped (a strictly cheaper one is considered
+    // anyway); surviving members in enumeration order.
     for (std::size_t g = 0; g < space_->groups.size(); ++g) {
       if (eliminated[g]) {
         const std::size_t rep = space_->groups[g].representative;
@@ -515,6 +515,13 @@ FrontierResult FrontierEngine::replan(const std::string& baseline_digest) {
   clean_full_.reset();
   clean_packing_.reset();
   return result;
+}
+
+double evaluation_reduction_percent(int evaluations,
+                                    int total_combinations) {
+  if (total_combinations == 0) return 0.0;
+  return 100.0 * static_cast<double>(total_combinations - evaluations) /
+         static_cast<double>(total_combinations);
 }
 
 const FrontierPoint& FrontierResult::point(int width,

@@ -47,7 +47,7 @@ PartitionSpace::PartitionSpace(const soc::Soc& soc,
   all_share_key_packing =
       partition_key(soc.analog_cores(), all_share, /*powered=*/false);
 
-  // Same grouping and representative choice as optimize_cost_heuristic:
+  // Fig. 3 lines 1-8, as tests/reference_fig3.hpp spells them out:
   // shape groups in sorted-shape order, members in enumeration order,
   // representative = first Eq. 3 minimum.
   std::map<std::vector<std::size_t>, std::vector<std::size_t>> by_shape;

@@ -5,6 +5,8 @@
 #include "msoc/common/error.hpp"
 #include "msoc/common/format.hpp"
 #include "msoc/common/table.hpp"
+#include "msoc/tam/packing.hpp"
+#include "msoc/tam/schedule.hpp"
 
 namespace msoc::plan {
 
@@ -74,14 +76,14 @@ std::string Table2::render() const {
 
 // ---------------------------------------------------------------- Table 3
 Table3 make_table3(const soc::Soc& soc, const std::vector<int>& widths,
-                   const PlanningProblem& base) {
+                   const FrontierOptions& options) {
   require(!widths.empty(), "table 3 needs at least one TAM width");
   Table3 table;
   table.widths = widths;
 
   const std::vector<mswrap::SharingEvaluation> combos =
-      mswrap::evaluate_combinations(soc.analog_cores(), base.area_model,
-                                    base.policy, base.enumeration);
+      mswrap::evaluate_combinations(soc.analog_cores(), options.area_model,
+                                    options.policy, options.enumeration);
   for (const mswrap::SharingEvaluation& e : combos) {
     Table3Row row;
     row.wrapper_count = e.wrapper_count;
@@ -90,13 +92,18 @@ Table3 make_table3(const soc::Soc& soc, const std::vector<int>& widths,
   }
 
   for (int width : widths) {
-    PlanningProblem problem = base;
-    problem.soc = &soc;
-    problem.tam_width = width;
-    CostModel model(problem);
+    const tam::Packer packer(soc, width, options.packing);
+    const Cycles t_max = packer.all_share().makespan();
     for (std::size_t i = 0; i < combos.size(); ++i) {
-      const CombinationCost cost = model.evaluate(combos[i].partition);
-      table.rows[i].c_time.push_back(cost.c_time);
+      const mswrap::Partition& partition = combos[i].partition;
+      Cycles makespan = t_max;  // the one-wrapper partition: no pack
+      if (partition.groups().size() > 1) {
+        const tam::Schedule schedule = packer.schedule(
+            mswrap::to_analog_partition(soc.analog_cores(), partition));
+        tam::require_valid(schedule);
+        makespan = schedule.makespan();
+      }
+      table.rows[i].c_time.push_back(c_time(makespan, t_max));
     }
   }
   return table;
@@ -161,27 +168,28 @@ std::string Table3::render() const {
 // ---------------------------------------------------------------- Table 4
 Table4 make_table4(const soc::Soc& soc, const std::vector<int>& widths,
                    const std::vector<CostWeights>& weight_sets,
-                   const PlanningProblem& base) {
+                   const FrontierOptions& options) {
   require(!widths.empty() && !weight_sets.empty(),
           "table 4 needs widths and weight sets");
+  // The winner of one one-width engine and its paper's N.
+  const auto solve = [&](int width, const CostWeights& weights,
+                         bool exhaustive) {
+    FrontierOptions cell = options;
+    cell.widths = {width};
+    cell.weights = weights;
+    cell.exhaustive = exhaustive;
+    FrontierPoint point = FrontierEngine(soc, cell).run().points.front();
+    if (!point.ok()) throw InfeasibleError(point.error);
+    point.evaluations += point.pruned;
+    return point;
+  };
   Table4 table;
   for (const CostWeights& weights : weight_sets) {
     Table4Block block;
     block.weights = weights;
     for (int width : widths) {
-      PlanningProblem problem = base;
-      problem.soc = &soc;
-      problem.tam_width = width;
-      problem.weights = weights;
-
-      CostModel exhaustive_model(problem);
-      const OptimizationResult exhaustive =
-          optimize_exhaustive(exhaustive_model);
-
-      CostModel heuristic_model(problem);
-      const HeuristicResult heuristic =
-          optimize_cost_heuristic(heuristic_model);
-
+      const FrontierPoint exhaustive = solve(width, weights, true);
+      const FrontierPoint heuristic = solve(width, weights, false);
       Table4Row row;
       row.tam_width = width;
       row.exhaustive_cost = exhaustive.best.total;
@@ -190,7 +198,8 @@ Table4 make_table4(const soc::Soc& soc, const std::vector<int>& widths,
       row.heuristic_cost = heuristic.best.total;
       row.heuristic_evaluations = heuristic.evaluations;
       row.heuristic_label = heuristic.best.label;
-      row.evaluation_reduction = heuristic.evaluation_reduction_percent();
+      row.evaluation_reduction = evaluation_reduction_percent(
+          heuristic.evaluations, heuristic.total_combinations);
       block.rows.push_back(std::move(row));
     }
     table.blocks.push_back(std::move(block));

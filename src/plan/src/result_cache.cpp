@@ -575,7 +575,16 @@ void ResultCache::record(const std::string& digest, const EntryKey& key,
 
 bool ResultCache::append_shard_locked(
     const std::string& shard_key, const std::vector<std::string>& payloads) {
-  FileLock lock = FileLock::exclusive(journal_path(shard_key));
+  const std::string path = journal_path(shard_key);
+  std::optional<FileLock> locked = FileLock::exclusive_if_regular(path);
+  if (!locked.has_value()) {
+    // A cache may make runs slower, never fail them: the records stay
+    // in memory and this shard goes unwritten.
+    log_warn("cache journal ", path,
+             " is not a regular file; its shard was not written");
+    return false;
+  }
+  FileLock& lock = *locked;
   ShardState& shard = shards_[shard_key];
   const std::string bytes = lock.read_all();
   absorb_journal_locked(shard_key, shard, bytes);
@@ -621,9 +630,9 @@ bool ResultCache::append_shard_locked(
       kJournalHeaderBytes + tuning_.compact_threshold_bytes) {
     CompactionStats stats;
     compact_shard_locked(shard_key, shard, lock, stats);
-    return true;
+    return false;
   }
-  return false;
+  return true;
 }
 
 void ResultCache::flush() {
@@ -658,8 +667,8 @@ void ResultCache::flush() {
   ensure_directory(directory_);
   for (const auto& [shard_key, batch] : batches) {
     ensure_directory(shard_dir(shard_key));
-    const bool compacted = append_shard_locked(shard_key, batch);
-    if (compacted) continue;  // metas were folded out with the journal
+    // Unless the records stay in the journal, its metas are not there.
+    if (!append_shard_locked(shard_key, batch)) continue;
     for (const std::string& digest : meta_digests[shard_key]) {
       stores_[digest].meta_journaled = true;
     }
@@ -751,12 +760,14 @@ CompactionStats ResultCache::compact() {
   std::sort(shard_keys.begin(), shard_keys.end());
   for (const std::string& shard_key : shard_keys) {
     try {
-      FileLock journal = FileLock::exclusive(journal_path(shard_key));
+      std::optional<FileLock> journal =
+          FileLock::exclusive_if_regular(journal_path(shard_key));
+      if (!journal.has_value()) continue;  // replaced since the listing
       ShardState& shard = shards_[shard_key];
-      absorb_journal_locked(shard_key, shard, journal.read_all());
+      absorb_journal_locked(shard_key, shard, journal->read_all());
       const bool pristine = shard.tail.empty() && !shard.header_bad &&
-                            shard.validated == journal.size();
-      if (!pristine) compact_shard_locked(shard_key, shard, journal, stats);
+                            shard.validated == journal->size();
+      if (!pristine) compact_shard_locked(shard_key, shard, *journal, stats);
     } catch (const Error& e) {
       log_warn("cannot compact cache shard ", shard_dir(shard_key), ": ",
                e.what());

@@ -9,7 +9,6 @@
 #include "msoc/common/format.hpp"
 #include "msoc/common/json.hpp"
 #include "msoc/common/parallel.hpp"
-#include "msoc/plan/optimizer.hpp"
 #include "msoc/soc/benchmarks.hpp"
 #include "msoc/soc/digest.hpp"
 #include "cell_writer.hpp"
@@ -200,10 +199,8 @@ BudgetColumns budget_columns(const SweepResult& result) {
 /// failed case reports none of either.
 double evaluation_reduction_percent(const FrontierPoint& p) {
   if (!p.ok()) return 0.0;
-  OptimizationResult counts;
-  counts.evaluations = p.evaluations;
-  counts.total_combinations = p.total_combinations;
-  return counts.evaluation_reduction_percent();
+  return plan::evaluation_reduction_percent(p.evaluations,
+                                            p.total_combinations);
 }
 
 }  // namespace

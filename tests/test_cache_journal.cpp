@@ -225,6 +225,47 @@ TEST(CacheJournal, FifoAtASnapshotOrJournalPathIsAbsent) {
   }
 }
 
+TEST(CacheJournal, FifoJournalSkipsItsShardAndFlushesTheRest) {
+  // A journal path that is not a regular file makes its shard
+  // unwritable, never the flush a failure: the FIFO stays in place, the
+  // other shard is written, and the skipped records stay in memory.
+  const std::string dir = fresh_dir("fifo_flush");
+  fs::create_directories(fs::path(dir) / "ab");
+  const test::DeadlineFifo fifo(journal_file(dir).string());
+  ASSERT_TRUE(fifo.created());
+  constexpr const char* kOther = "cd12cd34ef56ab78";
+  const auto started = std::chrono::steady_clock::now();
+  ResultCache cache(dir);
+  cache.open(kDigest, "socname");
+  cache.open(kOther, "other");
+  cache.record(kDigest, key_of(16, 0.0, 0), "a", 100);
+  cache.record(kOther, key_of(16, 0.0, 0), "b", 200);
+  ASSERT_NO_THROW(cache.flush());
+  EXPECT_LT(std::chrono::steady_clock::now() - started,
+            test::DeadlineFifo::kDeadline)
+      << "waited for a peer";
+  EXPECT_EQ(fs::status(journal_file(dir)).type(), fs::file_type::fifo);
+  EXPECT_EQ(cache.lookup(kDigest, key_of(16, 0.0, 0)), Cycles{100});
+
+  ResultCache reader(dir);
+  reader.open(kOther);
+  EXPECT_EQ(reader.lookup(kOther, key_of(16, 0.0, 0)), Cycles{200});
+  // A later flush skips the shard again instead of failing.
+  cache.record(kDigest, key_of(16, 0.0, 1), "c", 300);
+  EXPECT_NO_THROW(cache.flush());
+}
+
+TEST(CacheJournal, DirectoryJournalSkipsItsShard) {
+  const std::string dir = fresh_dir("dir_flush");
+  fs::create_directories(journal_file(dir));
+  ResultCache cache(dir);
+  cache.open(kDigest, "socname");
+  cache.record(kDigest, key_of(16, 0.0, 0), "a", 100);
+  ASSERT_NO_THROW(cache.flush());
+  EXPECT_TRUE(fs::is_directory(journal_file(dir)));
+  EXPECT_EQ(cache.lookup(kDigest, key_of(16, 0.0, 0)), Cycles{100});
+}
+
 TEST(CacheJournal, SecondFlushIsAnAppendNotARewrite) {
   const std::string dir = fresh_dir("append_only");
   ResultCache cache(dir);

@@ -3,20 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "msoc/common/error.hpp"
+#include "msoc/plan/frontier.hpp"
+#include "msoc/plan/pipeline.hpp"
 #include "msoc/soc/benchmarks.hpp"
 
 namespace msoc::plan {
 namespace {
 
-PlanningProblem problem_for(const soc::Soc& soc, int width = 32,
-                            double w_time = 0.5) {
-  PlanningProblem p;
-  p.soc = &soc;
-  p.tam_width = width;
-  p.weights.time = w_time;
-  p.weights.area = 1.0 - w_time;
-  return p;
-}
+const mswrap::Partition kPair({{0, 1}, {2}, {3}, {4}});
 
 TEST(Weights, MustSumToOne) {
   CostWeights w;
@@ -31,86 +25,61 @@ TEST(Weights, MustSumToOne) {
   EXPECT_NO_THROW(w.validate());
 }
 
-TEST(Problem, Validation) {
-  PlanningProblem p;
-  EXPECT_THROW(p.validate(), InfeasibleError);  // no SOC
+TEST(Planning, NeedsAnalogCoresAndValidWeights) {
   const soc::Soc digital = soc::make_p93791();
-  p = problem_for(digital);
-  EXPECT_THROW(p.validate(), InfeasibleError);  // no analog cores
+  EXPECT_THROW(FrontierEngine(digital, FrontierOptions{}), InfeasibleError);
   const soc::Soc ms = soc::make_p93791m();
-  p = problem_for(ms);
-  EXPECT_NO_THROW(p.validate());
-  p.tam_width = 0;
-  EXPECT_THROW(p.validate(), InfeasibleError);
+  FrontierOptions lopsided;
+  lopsided.weights = {0.6, 0.6};
+  EXPECT_THROW(FrontierEngine(ms, lopsided), InfeasibleError);
+  EXPECT_NO_THROW(FrontierEngine(ms, FrontierOptions{}));
 }
 
-TEST(CostModelEval, AllShareIsTheBaseline) {
-  const soc::Soc soc = soc::make_p93791m();
-  PlanningProblem p = problem_for(soc);
-  CostModel model(p);
+TEST(Price, AllShareIsTheBaseline) {
   const mswrap::Partition all_share({{0, 1, 2, 3, 4}});
-  const CombinationCost cost = model.evaluate(all_share);
-  EXPECT_NEAR(cost.c_time, 100.0, 1e-9);
-  EXPECT_EQ(cost.test_time, model.t_max());
+  const CombinationCost cost =
+      price(all_share, "{A,B,C,D,E}", 100.0, 5000, 5000, CostWeights{});
+  EXPECT_EQ(cost.c_time, 100.0);
+  EXPECT_EQ(cost.test_time, 5000u);
+  EXPECT_EQ(cost.label, "{A,B,C,D,E}");
+  EXPECT_EQ(cost.partition, all_share);
 }
 
-TEST(CostModelEval, CTimeNeverExceeds100) {
+TEST(Price, CTimeIsTheShareOfTMax) {
+  EXPECT_EQ(c_time(2500, 5000), 50.0);
+  EXPECT_EQ(price(kPair, "pair", 40.0, 4000, 5000, CostWeights{}).c_time,
+            80.0);
+}
+
+TEST(Price, PackingPastTMaxIsAnInvariantViolation) {
+  // The packer's serialized fallback pins every partition at or below
+  // the all-share baseline, so C_time never exceeds 100.
+  EXPECT_THROW((void)price(kPair, "pair", 40.0, 5001, 5000, CostWeights{}),
+               LogicError);
+}
+
+TEST(Price, TotalIsWeightedSum) {
+  const CostWeights weights{0.75, 0.25};
+  const CombinationCost cost =
+      price(kPair, "pair", 60.0, 4500, 5000, weights);
+  EXPECT_EQ(cost.c_area, 60.0);
+  EXPECT_NEAR(cost.total, 0.75 * cost.c_time + 0.25 * cost.c_area, 1e-12);
+  EXPECT_EQ(cost.total, weights.total(cost.c_time, cost.c_area));
+}
+
+TEST(Prelim, PartitionSpaceUsesEq3) {
+  // Eq. 3 swaps C_time for the normalized analog lower bound.
+  const CostWeights weights{0.25, 0.75};
+  EXPECT_NEAR(weights.total(40.0, 80.0), 0.25 * 40.0 + 0.75 * 80.0, 1e-12);
   const soc::Soc soc = soc::make_p93791m();
-  PlanningProblem p = problem_for(soc, 48);
-  CostModel model(p);
-  for (const auto& e : mswrap::evaluate_combinations(soc.analog_cores())) {
-    EXPECT_LE(model.evaluate(e.partition).c_time, 100.0 + 1e-9) << e.label;
+  const PartitionSpace space(soc, weights, {}, {}, {});
+  ASSERT_EQ(space.cells.size(), 26u);
+  for (const PartitionCell& cell : space.cells) {
+    EXPECT_EQ(cell.prelim,
+              weights.total(cell.evaluation.analog_lb_normalized,
+                            cell.evaluation.area_cost))
+        << cell.evaluation.label;
   }
-}
-
-TEST(CostModelEval, TotalIsWeightedSum) {
-  const soc::Soc soc = soc::make_p93791m();
-  PlanningProblem p = problem_for(soc, 32, 0.75);
-  CostModel model(p);
-  const mswrap::Partition pair({{0, 1}, {2}, {3}, {4}});
-  const CombinationCost cost = model.evaluate(pair);
-  EXPECT_NEAR(cost.total, 0.75 * cost.c_time + 0.25 * cost.c_area, 1e-9);
-}
-
-TEST(CostModelEval, MemoizationCountsOnce) {
-  const soc::Soc soc = soc::make_p93791m();
-  PlanningProblem p = problem_for(soc);
-  CostModel model(p);
-  const mswrap::Partition pair({{0, 1}, {2}, {3}, {4}});
-  (void)model.evaluate(pair);
-  (void)model.evaluate(pair);
-  EXPECT_EQ(model.tam_runs(), 1);
-}
-
-TEST(CostModelEval, AllShareIsFree) {
-  // The all-share evaluation is the normalization baseline; it must not
-  // count as a paid TAM run (the paper's N accounting).
-  const soc::Soc soc = soc::make_p93791m();
-  PlanningProblem p = problem_for(soc);
-  CostModel model(p);
-  (void)model.t_max();
-  const mswrap::Partition all_share({{0, 1, 2, 3, 4}});
-  (void)model.evaluate(all_share);
-  EXPECT_EQ(model.tam_runs(), 0);
-}
-
-TEST(CostModelEval, PreliminaryCostUsesEq3) {
-  const soc::Soc soc = soc::make_p93791m();
-  PlanningProblem p = problem_for(soc, 32, 0.25);
-  CostModel model(p);
-  mswrap::SharingEvaluation e;
-  e.analog_lb_normalized = 40.0;
-  e.area_cost = 80.0;
-  EXPECT_NEAR(model.preliminary_cost(e), 0.25 * 40.0 + 0.75 * 80.0, 1e-12);
-}
-
-TEST(CostModelEval, ScheduleForIsValid) {
-  const soc::Soc soc = soc::make_p93791m();
-  PlanningProblem p = problem_for(soc);
-  CostModel model(p);
-  const mswrap::Partition pair({{3, 4}, {0}, {1}, {2}});
-  const tam::Schedule schedule = model.schedule_for(pair);
-  EXPECT_TRUE(tam::validate_schedule(schedule).empty());
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
 // Randomized differential-testing harness.
 //
-// Drives make_synthetic_soc over a seed ladder and cross-checks the
-// three optimizer entry points against each other on every SOC, with
-// and without a power budget:
+// Drives make_synthetic_soc over a seed ladder and cross-checks
+// FrontierEngine against the serial Fig. 3 reference
+// (reference_fig3.hpp) on every SOC, with and without a power budget:
 //
-//   * optimize_exhaustive is the ground truth: the heuristic may never
-//     beat it (it can only tie or lose);
+//   * the reference's exhaustive optimum is the ground truth: the
+//     heuristic may never beat it (it can only tie or lose);
 //   * FrontierEngine per-width results must be bit-identical to the
-//     standalone optimizers — same winner, same test time, same total,
-//     same T_max — in both heuristic and exhaustive modes;
+//     reference's — same winner, same test time, same total, same
+//     T_max — in both heuristic and exhaustive modes;
 //   * every schedule the winners imply must survive tam::check_schedule
 //     (TAM capacity, wrapper serialization, instantaneous power).
 //
@@ -25,10 +25,11 @@
 #include <vector>
 
 #include "msoc/plan/frontier.hpp"
-#include "msoc/plan/optimizer.hpp"
 #include "msoc/soc/benchmarks.hpp"
 #include "msoc/soc/digest.hpp"
+#include "msoc/tam/packing.hpp"
 #include "msoc/tam/schedule.hpp"
+#include "reference_fig3.hpp"
 
 namespace msoc::plan {
 namespace {
@@ -59,11 +60,20 @@ int width_for(std::uint64_t seed) {
   return 16 + static_cast<int>(seed % 3) * 8;
 }
 
-PlanningProblem problem_for(const soc::Soc& soc, int width) {
-  PlanningProblem problem;
-  problem.soc = &soc;
-  problem.tam_width = width;
-  return problem;
+/// T_max at `width`: the all-share pack under `packing`.
+Cycles t_max_of(const soc::Soc& soc, int width,
+                const tam::PackingOptions& packing = {}) {
+  return tam::schedule_soc(soc, width, tam::all_share_partition(soc),
+                           packing)
+      .makespan();
+}
+
+/// The schedule behind a winner, packed afresh under the SOC's budgets.
+tam::Schedule schedule_of(const soc::Soc& soc, int width,
+                          const CombinationCost& best) {
+  return tam::schedule_soc(
+      soc, width, mswrap::to_analog_partition(soc.analog_cores(),
+                                              best.partition));
 }
 
 void expect_same_cost(const CombinationCost& frontier,
@@ -76,9 +86,10 @@ void expect_same_cost(const CombinationCost& frontier,
   EXPECT_EQ(frontier.c_area, standalone.c_area) << what;
 }
 
-void expect_valid_schedule(CostModel& model, const CombinationCost& best,
+void expect_valid_schedule(const soc::Soc& soc, int width,
+                           const CombinationCost& best,
                            const std::string& what) {
-  const tam::Schedule schedule = model.schedule_for(best.partition);
+  const tam::Schedule schedule = schedule_of(soc, width, best);
   const std::vector<tam::ScheduleViolation> violations =
       tam::check_schedule(schedule);
   EXPECT_TRUE(violations.empty())
@@ -92,13 +103,9 @@ void run_differential(std::uint64_t seed, bool with_power) {
   const std::string what =
       soc.name() + (with_power ? "+power" : "") + " @W" + std::to_string(width);
 
-  // --- Standalone optimizers. ---
-  CostModel exhaustive_model(problem_for(soc, width));
-  const OptimizationResult exhaustive =
-      optimize_exhaustive(exhaustive_model);
-  CostModel heuristic_model(problem_for(soc, width));
-  const HeuristicResult heuristic =
-      optimize_cost_heuristic(heuristic_model);
+  // --- The reference. ---
+  const test::fig3::Result exhaustive = test::fig3::exhaustive(soc, width);
+  const test::fig3::Result heuristic = test::fig3::heuristic(soc, width);
 
   // The exhaustive optimum is the floor: the Fig. 3 heuristic may tie
   // it (and usually does) but can never beat it.
@@ -108,13 +115,11 @@ void run_differential(std::uint64_t seed, bool with_power) {
       << what << " (all-share baseline is free)";
 
   // Winning schedules re-walk cleanly, power budget included.
-  expect_valid_schedule(exhaustive_model, exhaustive.best,
-                        what + " exhaustive");
-  expect_valid_schedule(heuristic_model, heuristic.best, what + " heuristic");
+  expect_valid_schedule(soc, width, exhaustive.best, what + " exhaustive");
+  expect_valid_schedule(soc, width, heuristic.best, what + " heuristic");
   if (with_power) {
     EXPECT_GT(soc.max_power(), 0.0) << what;
-    const tam::Schedule schedule =
-        heuristic_model.schedule_for(heuristic.best.partition);
+    const tam::Schedule schedule = schedule_of(soc, width, heuristic.best);
     EXPECT_EQ(schedule.max_power, soc.max_power()) << what;
     EXPECT_LE(schedule.peak_power(),
               soc.max_power() * (1.0 + 1e-9) + 1e-9)
@@ -131,7 +136,7 @@ void run_differential(std::uint64_t seed, bool with_power) {
                                        << frontier.points[0].error;
   expect_same_cost(frontier.points[0].best, heuristic.best,
                    what + " frontier/heuristic");
-  EXPECT_EQ(frontier.points[0].t_max, heuristic_model.t_max()) << what;
+  EXPECT_EQ(frontier.points[0].t_max, heuristic.t_max) << what;
   EXPECT_EQ(frontier.points[0].max_power, soc.max_power()) << what;
   // The paper's N: Fig. 3 packs every member the engine's bound skips.
   EXPECT_EQ(frontier.points[0].evaluations + frontier.points[0].pruned,
@@ -139,14 +144,11 @@ void run_differential(std::uint64_t seed, bool with_power) {
       << what;
 
   // --- Frontier bit-identity, heuristic mode with elimination slack. ---
-  HeuristicOptions slack;
-  slack.epsilon = 5.0;
-  CostModel slack_model(problem_for(soc, width));
-  const HeuristicResult slack_heuristic =
-      optimize_cost_heuristic(slack_model, slack);
   FrontierOptions slack_options;
   slack_options.widths = {width};
-  slack_options.epsilon = slack.epsilon;
+  slack_options.epsilon = 5.0;
+  const test::fig3::Result slack_heuristic =
+      test::fig3::heuristic(soc, width, slack_options);
   FrontierEngine slack_engine(soc, slack_options);
   const FrontierResult slack_frontier = slack_engine.run();
   ASSERT_EQ(slack_frontier.points.size(), 1u) << what;
@@ -346,22 +348,16 @@ TEST(Differential, WindowedLadderHoldsTheSameContracts) {
     const std::string what = soc.name() + "+window @W" +
                              std::to_string(width);
 
-    CostModel exhaustive_model(problem_for(soc, width));
-    const OptimizationResult exhaustive =
-        optimize_exhaustive(exhaustive_model);
-    CostModel heuristic_model(problem_for(soc, width));
-    const HeuristicResult heuristic =
-        optimize_cost_heuristic(heuristic_model);
+    const test::fig3::Result exhaustive =
+        test::fig3::exhaustive(soc, width);
+    const test::fig3::Result heuristic = test::fig3::heuristic(soc, width);
     // The exhaustive floor holds under windowed budgets too.
     EXPECT_GE(heuristic.best.total, exhaustive.best.total) << what;
 
     // Winning schedules carry the window and re-walk cleanly.
-    expect_valid_schedule(exhaustive_model, exhaustive.best,
-                          what + " exhaustive");
-    expect_valid_schedule(heuristic_model, heuristic.best,
-                          what + " heuristic");
-    const tam::Schedule schedule =
-        heuristic_model.schedule_for(heuristic.best.partition);
+    expect_valid_schedule(soc, width, exhaustive.best, what + " exhaustive");
+    expect_valid_schedule(soc, width, heuristic.best, what + " heuristic");
+    const tam::Schedule schedule = schedule_of(soc, width, heuristic.best);
     ASSERT_EQ(schedule.window_cycles, soc.power_window().cycles) << what;
     EXPECT_EQ(schedule.window_limit, soc.power_window().limit) << what;
     // The independent O(n^2) window scan agrees with the packer's
@@ -379,16 +375,15 @@ TEST(Differential, WindowBindsOnASeedWherePeakDoesNot) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     const soc::Soc soc = windowed_synthetic(seed);
     const int width = width_for(seed);
-    PlanningProblem peak_only = problem_for(soc, width);
-    peak_only.packing.window_limit = 0.0;
-    PlanningProblem unconstrained = problem_for(soc, width);
-    unconstrained.packing.window_limit = 0.0;
-    unconstrained.packing.max_power = 0.0;
-    CostModel both_model(problem_for(soc, width));
-    CostModel peak_model(peak_only);
-    CostModel plain_model(unconstrained);
-    if (peak_model.t_max() == plain_model.t_max() &&
-        both_model.t_max() > plain_model.t_max()) {
+    tam::PackingOptions peak_only;
+    peak_only.window_limit = 0.0;
+    tam::PackingOptions unconstrained;
+    unconstrained.window_limit = 0.0;
+    unconstrained.max_power = 0.0;
+    const Cycles both = t_max_of(soc, width);
+    const Cycles peak = t_max_of(soc, width, peak_only);
+    const Cycles plain = t_max_of(soc, width, unconstrained);
+    if (peak == plain && both > plain) {
       ++binding;
     }
   }
@@ -405,9 +400,9 @@ TEST(Differential, PowerBudgetBindsOnAtLeastOneSeed) {
     const int width = width_for(seed);
     // Identical timing content, powers stripped: compare the all-share
     // baseline (the cheapest probe that runs the packer end to end).
-    CostModel plain(problem_for(unconstrained, width));
-    CostModel budgeted(problem_for(constrained, width));
-    if (budgeted.t_max() > plain.t_max()) ++binding;
+    if (t_max_of(constrained, width) > t_max_of(unconstrained, width)) {
+      ++binding;
+    }
   }
   EXPECT_GT(binding, 0);
 }

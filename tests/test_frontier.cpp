@@ -13,12 +13,12 @@
 #include "msoc/common/error.hpp"
 #include "msoc/common/fileio.hpp"
 #include "msoc/common/journal.hpp"
-#include "msoc/plan/optimizer.hpp"
 #include "msoc/soc/benchmarks.hpp"
 #include "msoc/soc/digest.hpp"
 #include "msoc/soc/itc02.hpp"
 #include "msoc/tam/counters.hpp"
 #include "powered_fixtures.hpp"
+#include "reference_fig3.hpp"
 
 namespace msoc::plan {
 namespace {
@@ -45,16 +45,14 @@ FrontierOptions d695m_options(std::vector<int> widths = {16, 24, 32}) {
 CombinationCost heuristic_best(const soc::Soc& soc, int width,
                                double w_time, bool exhaustive,
                                double epsilon, Cycles* t_max_out) {
-  PlanningProblem problem;
-  problem.soc = &soc;
-  problem.tam_width = width;
-  problem.weights = {w_time, 1.0 - w_time};
-  CostModel model(problem);
-  if (t_max_out != nullptr) *t_max_out = model.t_max();
-  if (exhaustive) return optimize_exhaustive(model).best;
-  HeuristicOptions options;
+  FrontierOptions options;
+  options.weights = {w_time, 1.0 - w_time};
   options.epsilon = epsilon;
-  return optimize_cost_heuristic(model, options).best;
+  const test::fig3::Result reference =
+      exhaustive ? test::fig3::exhaustive(soc, width, options)
+                 : test::fig3::heuristic(soc, width, options);
+  if (t_max_out != nullptr) *t_max_out = reference.t_max;
+  return reference.best;
 }
 
 TEST(Frontier, BitIdenticalToPerWidthHeuristic) {

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include "msoc/analog/experiment.hpp"
-#include "msoc/plan/optimizer.hpp"
+#include "msoc/plan/frontier.hpp"
 #include "msoc/plan/report.hpp"
+#include "msoc/plan/request.hpp"
 #include "msoc/soc/benchmarks.hpp"
 #include "msoc/soc/itc02.hpp"
+#include "msoc/tam/packing.hpp"
 #include "msoc/testsim/replay.hpp"
+#include "reference_fig3.hpp"
 
 namespace msoc {
 namespace {
@@ -19,16 +22,16 @@ TEST(Integration, FullPipelineOnP93791m) {
   const soc::Soc soc =
       soc::parse_soc_string(soc::write_soc_string(soc::make_p93791m()));
 
-  // 2. Optimize at W=32 with balanced weights.
-  plan::PlanningProblem problem;
-  problem.soc = &soc;
-  problem.tam_width = 32;
-  plan::CostModel model(problem);
-  const plan::HeuristicResult result = plan::optimize_cost_heuristic(model);
+  // 2. Optimize at W=32 with balanced weights, as msoc_plan --width 32.
+  plan::PlanRequest request;
+  request.width = 32;
+  const plan::PlanOutcome outcome = plan::execute(request, {soc}, nullptr);
+  const plan::FrontierPoint& result =
+      outcome.sweep->series.front().points.front();
 
   // 3. The winning plan's schedule must replay cleanly.
-  const tam::Schedule schedule = model.schedule_for(result.best.partition);
-  const testsim::ReplayReport report = testsim::replay(soc, schedule);
+  const testsim::ReplayReport report =
+      testsim::replay(soc, *outcome.schedule);
   EXPECT_TRUE(report.clean()) << report.summary();
 
   // 4. Cost structure sanity.
@@ -40,14 +43,13 @@ TEST(Integration, FullPipelineOnP93791m) {
 
 TEST(Integration, HeuristicMatchesExhaustiveAtWidth64) {
   const soc::Soc soc = soc::make_p93791m();
-  plan::PlanningProblem problem;
-  problem.soc = &soc;
-  problem.tam_width = 64;
-
-  plan::CostModel em(problem);
-  const plan::OptimizationResult exhaustive = plan::optimize_exhaustive(em);
-  plan::CostModel hm(problem);
-  const plan::HeuristicResult heuristic = plan::optimize_cost_heuristic(hm);
+  plan::FrontierOptions options;
+  options.widths = {64};
+  const plan::FrontierPoint heuristic =
+      plan::FrontierEngine(soc, options).run().points.front();
+  options.exhaustive = true;
+  const plan::FrontierPoint exhaustive =
+      plan::FrontierEngine(soc, options).run().points.front();
 
   EXPECT_LE(heuristic.best.total, exhaustive.best.total * 1.05);
 }
@@ -60,13 +62,11 @@ TEST(Integration, MixedSignalD695Variant) {
   soc.add_analog(analog[4]);  // E: amplifier
   soc.set_name("d695m");
 
-  plan::PlanningProblem problem;
-  problem.soc = &soc;
-  problem.tam_width = 16;
-  plan::CostModel model(problem);
-  const plan::OptimizationResult result = plan::optimize_exhaustive(model);
+  const test::fig3::Result result = test::fig3::exhaustive(soc, 16);
 
-  const tam::Schedule schedule = model.schedule_for(result.best.partition);
+  const tam::Schedule schedule = tam::schedule_soc(
+      soc, 16,
+      mswrap::to_analog_partition(soc.analog_cores(), result.best.partition));
   EXPECT_TRUE(testsim::replay(soc, schedule).clean());
   // Two distinct cores: share or not — 1 combination each... the share
   // combination plus standalone = C and E can only form {C,E} or {C}{E}.
@@ -75,9 +75,7 @@ TEST(Integration, MixedSignalD695Variant) {
 
 TEST(Integration, Table3AllShareColumnIs100Everywhere) {
   const soc::Soc soc = soc::make_p93791m();
-  plan::PlanningProblem base;
-  base.soc = &soc;
-  const plan::Table3 t3 = plan::make_table3(soc, {24, 40}, base);
+  const plan::Table3 t3 = plan::make_table3(soc, {24, 40});
   for (const plan::Table3Row& row : t3.rows) {
     if (row.wrapper_count == 1) {
       for (double c : row.c_time) EXPECT_NEAR(c, 100.0, 1e-9);
@@ -128,13 +126,12 @@ TEST(Integration, BasebandTestsAreWrapperStreamable) {
 
 TEST(Integration, DeterministicEndToEnd) {
   const soc::Soc soc = soc::make_p93791m();
-  plan::PlanningProblem problem;
-  problem.soc = &soc;
-  problem.tam_width = 48;
-  plan::CostModel m1(problem);
-  plan::CostModel m2(problem);
-  const plan::HeuristicResult r1 = plan::optimize_cost_heuristic(m1);
-  const plan::HeuristicResult r2 = plan::optimize_cost_heuristic(m2);
+  plan::FrontierOptions options;
+  options.widths = {48};
+  const plan::FrontierPoint r1 =
+      plan::FrontierEngine(soc, options).run().points.front();
+  const plan::FrontierPoint r2 =
+      plan::FrontierEngine(soc, options).run().points.front();
   EXPECT_EQ(r1.best.label, r2.best.label);
   EXPECT_DOUBLE_EQ(r1.best.total, r2.best.total);
   EXPECT_EQ(r1.evaluations, r2.evaluations);

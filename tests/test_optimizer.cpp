@@ -1,43 +1,60 @@
-#include "msoc/plan/optimizer.hpp"
-
+// The Fig. 3 Cost_Optimizer and its exhaustive baseline on the paper's
+// p93791m benchmark, as the one-width FrontierEngine runs them, checked
+// against the serial reference in reference_fig3.hpp.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "msoc/common/error.hpp"
+#include "msoc/plan/frontier.hpp"
 #include "msoc/soc/benchmarks.hpp"
+#include "reference_fig3.hpp"
 
 namespace msoc::plan {
 namespace {
 
-PlanningProblem problem(const soc::Soc& soc, int width, double w_time) {
-  PlanningProblem p;
-  p.soc = &soc;
-  p.tam_width = width;
-  p.weights.time = w_time;
-  p.weights.area = 1.0 - w_time;
-  return p;
+FrontierOptions options(int width, double w_time, bool exhaustive = false) {
+  FrontierOptions o;
+  o.widths = {width};
+  o.weights = {w_time, 1.0 - w_time};
+  o.exhaustive = exhaustive;
+  return o;
+}
+
+/// The one cell of a one-width run, its evaluations the paper's N (the
+/// engine's packs plus the members its bound skipped).
+FrontierPoint solve(const soc::Soc& soc, const FrontierOptions& o) {
+  FrontierPoint point = FrontierEngine(soc, o).run().points.front();
+  EXPECT_TRUE(point.ok()) << point.error;
+  point.evaluations += point.pruned;
+  return point;
 }
 
 TEST(Exhaustive, Evaluates26Combinations) {
   const soc::Soc soc = soc::make_p93791m();
-  CostModel model(problem(soc, 32, 0.5));
-  const OptimizationResult r = optimize_exhaustive(model);
+  const FrontierPoint r = solve(soc, options(32, 0.5, true));
   EXPECT_EQ(r.total_combinations, 26);
   // 25 paid runs: all-share is the free baseline.
   EXPECT_EQ(r.evaluations, 25);
+  EXPECT_EQ(r.pruned, 0);
   EXPECT_GT(r.best.total, 0.0);
+
+  const test::fig3::Result reference =
+      test::fig3::exhaustive(soc, 32, options(32, 0.5));
+  EXPECT_EQ(reference.total_combinations, 26);
+  EXPECT_EQ(reference.evaluations, 25);
 }
 
 TEST(Heuristic, FarFewerEvaluations) {
   const soc::Soc soc = soc::make_p93791m();
-  CostModel model(problem(soc, 32, 0.5));
-  const HeuristicResult r = optimize_cost_heuristic(model);
+  const FrontierPoint r = solve(soc, options(32, 0.5));
   EXPECT_EQ(r.total_combinations, 26);
   EXPECT_LT(r.evaluations, 26);
   // At least the 4 paid group representatives must be evaluated.
   EXPECT_GE(r.evaluations, 4);
-  EXPECT_GE(r.evaluation_reduction_percent(), 30.0);
+  EXPECT_GE(evaluation_reduction_percent(r.evaluations, r.total_combinations),
+            30.0);
 }
 
 class WeightSweep : public ::testing::TestWithParam<double> {};
@@ -45,12 +62,8 @@ class WeightSweep : public ::testing::TestWithParam<double> {};
 TEST_P(WeightSweep, HeuristicNearOptimal) {
   const double w_time = GetParam();
   const soc::Soc soc = soc::make_p93791m();
-
-  CostModel exhaustive_model(problem(soc, 32, w_time));
-  const OptimizationResult best = optimize_exhaustive(exhaustive_model);
-
-  CostModel heuristic_model(problem(soc, 32, w_time));
-  const HeuristicResult h = optimize_cost_heuristic(heuristic_model);
+  const FrontierPoint best = solve(soc, options(32, w_time, true));
+  const FrontierPoint h = solve(soc, options(32, w_time));
 
   // The paper reports optimality in all but one case; allow a modest
   // gap (the packer's schedule noise can flip near-tied representatives).
@@ -61,140 +74,80 @@ TEST_P(WeightSweep, HeuristicNearOptimal) {
 INSTANTIATE_TEST_SUITE_P(Weights, WeightSweep,
                          ::testing::Values(0.25, 0.5, 0.75));
 
-TEST(Heuristic, DiagnosticsCoverFiveShapeGroups) {
+// One of Table 4's cells per weight setting: the engine's winner and N
+// are the reference's, bit for bit.
+TEST(Heuristic, EngineMatchesReferenceOnTable4Cells) {
   const soc::Soc soc = soc::make_p93791m();
-  CostModel model(problem(soc, 32, 0.5));
-  const HeuristicResult r = optimize_cost_heuristic(model);
-  EXPECT_EQ(r.diagnostics.group_shapes.size(), 5u);
-  EXPECT_EQ(r.diagnostics.representative_costs.size(), 5u);
-  EXPECT_EQ(r.diagnostics.eliminated.size(), 5u);
+  const std::pair<int, double> cells[] = {{32, 0.25}, {48, 0.5}, {64, 0.75}};
+  for (const auto& [width, w_time] : cells) {
+    const FrontierPoint engine = solve(soc, options(width, w_time));
+    const test::fig3::Result reference =
+        test::fig3::heuristic(soc, width, options(width, w_time));
+    EXPECT_EQ(engine.best.label, reference.best.label) << width;
+    EXPECT_EQ(engine.best.test_time, reference.best.test_time) << width;
+    EXPECT_EQ(engine.best.total, reference.best.total) << width;
+    EXPECT_EQ(engine.t_max, reference.t_max) << width;
+    EXPECT_EQ(engine.evaluations, reference.evaluations) << width;
+  }
+}
+
+TEST(Heuristic, ReferenceCoversFiveShapeGroups) {
+  const soc::Soc soc = soc::make_p93791m();
+  const test::fig3::Result r =
+      test::fig3::heuristic(soc, 32, options(32, 0.5));
+  EXPECT_EQ(r.eliminated.size(), 5u);
   // At least one group must survive.
   bool survivor = false;
-  for (bool e : r.diagnostics.eliminated) survivor |= !e;
+  for (bool e : r.eliminated) survivor |= !e;
   EXPECT_TRUE(survivor);
 }
 
 TEST(Heuristic, LargeEpsilonDegradesToExhaustive) {
   const soc::Soc soc = soc::make_p93791m();
-
-  CostModel strict_model(problem(soc, 32, 0.5));
-  HeuristicOptions strict;
-  strict.epsilon = 0.0;
-  const HeuristicResult tight = optimize_cost_heuristic(strict_model, strict);
-
-  CostModel loose_model(problem(soc, 32, 0.5));
-  HeuristicOptions loose;
+  const FrontierPoint tight = solve(soc, options(32, 0.5));
+  FrontierOptions loose = options(32, 0.5);
   loose.epsilon = 1000.0;  // nothing gets eliminated
-  const HeuristicResult all = optimize_cost_heuristic(loose_model, loose);
+  const FrontierPoint all = solve(soc, loose);
 
   EXPECT_EQ(all.evaluations, 25);  // = exhaustive (all-share free)
   EXPECT_LE(tight.evaluations, all.evaluations);
 
-  CostModel exhaustive_model(problem(soc, 32, 0.5));
-  const OptimizationResult best = optimize_exhaustive(exhaustive_model);
+  const FrontierPoint best = solve(soc, options(32, 0.5, true));
   EXPECT_NEAR(all.best.total, best.best.total, 1e-9);
 }
 
 TEST(Heuristic, NegativeEpsilonRejected) {
   const soc::Soc soc = soc::make_p93791m();
-  CostModel model(problem(soc, 32, 0.5));
-  HeuristicOptions options;
-  options.epsilon = -1.0;
-  EXPECT_THROW(optimize_cost_heuristic(model, options), InfeasibleError);
+  FrontierOptions o = options(32, 0.5);
+  o.epsilon = -1.0;
+  EXPECT_THROW(FrontierEngine(soc, o), InfeasibleError);
+  EXPECT_THROW((void)test::fig3::heuristic(soc, 32, o), InfeasibleError);
 }
 
 TEST(Heuristic, AreaHeavyWeightsPreferMoreSharing) {
   const soc::Soc soc = soc::make_p93791m();
-
-  CostModel time_heavy(problem(soc, 64, 0.95));
-  const HeuristicResult t = optimize_cost_heuristic(time_heavy);
-
-  CostModel area_heavy(problem(soc, 64, 0.05));
-  const HeuristicResult a = optimize_cost_heuristic(area_heavy);
-
+  const FrontierPoint t = solve(soc, options(64, 0.95));
+  const FrontierPoint a = solve(soc, options(64, 0.05));
   // With area dominating, the winner has at most as many wrappers as the
   // time-dominated winner.
   EXPECT_LE(a.best.partition.wrapper_count(),
             t.best.partition.wrapper_count());
 }
 
-class ParallelDeterminism : public ::testing::TestWithParam<int> {};
-
-TEST_P(ParallelDeterminism, ExhaustiveBitIdenticalAcrossJobs) {
-  // --jobs 1 and --jobs N must agree bit-for-bit on both benchmark SOCs:
-  // best partition, cost, test time, and the evaluation count.
-  const int jobs = GetParam();
-  for (const soc::Soc& soc : {soc::make_p93791m(), soc::make_d695m()}) {
-    CostModel serial_model(problem(soc, 32, 0.5));
-    const OptimizationResult serial = optimize_exhaustive(serial_model, 1);
-
-    CostModel parallel_model(problem(soc, 32, 0.5));
-    const OptimizationResult parallel =
-        optimize_exhaustive(parallel_model, jobs);
-
-    EXPECT_EQ(serial.best.partition, parallel.best.partition) << soc.name();
-    EXPECT_EQ(serial.best.label, parallel.best.label) << soc.name();
-    EXPECT_EQ(serial.best.test_time, parallel.best.test_time) << soc.name();
-    EXPECT_EQ(serial.best.total, parallel.best.total) << soc.name();
-    EXPECT_EQ(serial.best.c_time, parallel.best.c_time) << soc.name();
-    EXPECT_EQ(serial.best.c_area, parallel.best.c_area) << soc.name();
-    EXPECT_EQ(serial.evaluations, parallel.evaluations) << soc.name();
-    EXPECT_EQ(serial.total_combinations, parallel.total_combinations)
-        << soc.name();
-  }
-}
-
-TEST_P(ParallelDeterminism, HeuristicBitIdenticalAcrossJobs) {
-  const int jobs = GetParam();
-  for (const soc::Soc& soc : {soc::make_p93791m(), soc::make_d695m()}) {
-    CostModel serial_model(problem(soc, 32, 0.5));
-    const HeuristicResult serial = optimize_cost_heuristic(serial_model);
-
-    CostModel parallel_model(problem(soc, 32, 0.5));
-    HeuristicOptions options;
-    options.jobs = jobs;
-    const HeuristicResult parallel =
-        optimize_cost_heuristic(parallel_model, options);
-
-    EXPECT_EQ(serial.best.partition, parallel.best.partition) << soc.name();
-    EXPECT_EQ(serial.best.total, parallel.best.total) << soc.name();
-    EXPECT_EQ(serial.best.test_time, parallel.best.test_time) << soc.name();
-    EXPECT_EQ(serial.evaluations, parallel.evaluations) << soc.name();
-    EXPECT_EQ(serial.diagnostics.group_shapes,
-              parallel.diagnostics.group_shapes)
-        << soc.name();
-    EXPECT_EQ(serial.diagnostics.representative_costs,
-              parallel.diagnostics.representative_costs)
-        << soc.name();
-    EXPECT_EQ(serial.diagnostics.eliminated, parallel.diagnostics.eliminated)
-        << soc.name();
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Jobs, ParallelDeterminism,
-                         ::testing::Values(2, 4, 0));
-
 TEST(EvaluationReduction, Formula) {
-  OptimizationResult r;
-  r.total_combinations = 26;
-  r.evaluations = 10;
-  EXPECT_NEAR(r.evaluation_reduction_percent(), 61.5, 0.1);
-  r.evaluations = 7;
-  EXPECT_NEAR(r.evaluation_reduction_percent(), 73.1, 0.1);
+  EXPECT_NEAR(evaluation_reduction_percent(10, 26), 61.5, 0.1);
+  EXPECT_NEAR(evaluation_reduction_percent(7, 26), 73.1, 0.1);
+  EXPECT_EQ(evaluation_reduction_percent(0, 0), 0.0);
 }
 
 TEST(Optimizers, RespectSharingPolicy) {
   const soc::Soc soc = soc::make_p93791m();
-  PlanningProblem p = problem(soc, 32, 0.5);
-  // Forbid everything except... make policy impossible to satisfy for
-  // shared groups by mutating resolutions is not possible here, so use a
-  // policy that still accepts Table-2 cores (all 8-bit) and check the
+  FrontierOptions o = options(32, 0.5, true);
+  // A policy that still accepts the Table-2 cores (all 8-bit): the
   // count stays 26.
-  p.policy.max_fs_ratio = 1.0;
-  p.policy.min_resolution_gap = 99;  // gap never reached -> all feasible
-  CostModel model(p);
-  const OptimizationResult r = optimize_exhaustive(model);
-  EXPECT_EQ(r.total_combinations, 26);
+  o.policy.max_fs_ratio = 1.0;
+  o.policy.min_resolution_gap = 99;  // gap never reached -> all feasible
+  EXPECT_EQ(solve(soc, o).total_combinations, 26);
 }
 
 }  // namespace

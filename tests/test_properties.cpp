@@ -39,7 +39,7 @@ TEST_P(AllPartitionsAtWidth, EveryCombinationSchedulesAndReplaysCleanly) {
     // Monotonicity: any all-share schedule is feasible for every
     // partition, and the packer races the fully-serialized arrangement,
     // so no partition may schedule past the all-share baseline.  (This
-    // used to be a loose 1.08x bound while CostModel::evaluate silently
+    // used to be a loose 1.08x bound while the cost model silently
     // clamped the excess; the clamp is gone, so the property is strict.)
     EXPECT_LE(schedule.makespan(), baseline) << e.label;
   }
@@ -141,15 +141,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MakespanMonotoneInWidth,
 TEST(CostModelProperties, CTimeIndependentOfWeights) {
   const soc::Soc soc = soc::make_p93791m();
   const mswrap::Partition pair({{0, 1}, {2}, {3}, {4}});
+  const Cycles t_max =
+      tam::schedule_soc(soc, 32, tam::all_share_partition(soc)).makespan();
+  const Cycles packed =
+      tam::schedule_soc(soc, 32,
+                        mswrap::to_analog_partition(soc.analog_cores(), pair))
+          .makespan();
 
   std::vector<double> c_times;
   for (double w_time : {0.1, 0.5, 0.9}) {
-    plan::PlanningProblem problem;
-    problem.soc = &soc;
-    problem.tam_width = 32;
-    problem.weights = {w_time, 1.0 - w_time};
-    plan::CostModel model(problem);
-    c_times.push_back(model.evaluate(pair).c_time);
+    c_times.push_back(
+        plan::price(pair, "pair", 50.0, packed, t_max, {w_time, 1.0 - w_time})
+            .c_time);
   }
   EXPECT_DOUBLE_EQ(c_times[0], c_times[1]);
   EXPECT_DOUBLE_EQ(c_times[1], c_times[2]);
@@ -158,11 +161,15 @@ TEST(CostModelProperties, CTimeIndependentOfWeights) {
 TEST(CostModelProperties, TotalInterpolatesBetweenExtremes) {
   const soc::Soc soc = soc::make_p93791m();
   const mswrap::Partition pair({{0, 1}, {2}, {3}, {4}});
-  plan::PlanningProblem problem;
-  problem.soc = &soc;
-  problem.tam_width = 32;
-  plan::CostModel model(problem);
-  const plan::CombinationCost cost = model.evaluate(pair);
+  const Cycles t_max =
+      tam::schedule_soc(soc, 32, tam::all_share_partition(soc)).makespan();
+  const plan::CombinationCost cost = plan::price(
+      pair, "pair",
+      mswrap::WrapperAreaModel{}.area_cost(soc.analog_cores(), pair),
+      tam::schedule_soc(soc, 32,
+                        mswrap::to_analog_partition(soc.analog_cores(), pair))
+          .makespan(),
+      t_max, plan::CostWeights{});
   EXPECT_GE(cost.total, std::min(cost.c_time, cost.c_area) - 1e-9);
   EXPECT_LE(cost.total, std::max(cost.c_time, cost.c_area) + 1e-9);
 }

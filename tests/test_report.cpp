@@ -40,9 +40,7 @@ TEST(Table2Report, RendersEveryTestRow) {
 
 TEST(Table3Report, StructureAndNormalization) {
   const soc::Soc soc = soc::make_p93791m();
-  PlanningProblem base;
-  base.soc = &soc;
-  const Table3 t = make_table3(soc, {32}, base);
+  const Table3 t = make_table3(soc, {32});
   EXPECT_EQ(t.rows.size(), 26u);
   for (const Table3Row& row : t.rows) {
     ASSERT_EQ(row.c_time.size(), 1u);
@@ -61,10 +59,8 @@ TEST(Table3Report, StructureAndNormalization) {
 
 TEST(Table4Report, ComparesHeuristicWithExhaustive) {
   const soc::Soc soc = soc::make_p93791m();
-  PlanningProblem base;
-  base.soc = &soc;
   CostWeights balanced;
-  const Table4 t = make_table4(soc, {32}, {balanced}, base);
+  const Table4 t = make_table4(soc, {32}, {balanced});
   ASSERT_EQ(t.blocks.size(), 1u);
   ASSERT_EQ(t.blocks[0].rows.size(), 1u);
   const Table4Row& row = t.blocks[0].rows[0];
@@ -79,15 +75,13 @@ TEST(Table4Report, ComparesHeuristicWithExhaustive) {
 
 TEST(Table4Report, RejectsEmptyInputs) {
   const soc::Soc soc = soc::make_p93791m();
-  PlanningProblem base;
-  base.soc = &soc;
   const std::vector<CostWeights> one_weight = {CostWeights{}};
   const std::vector<CostWeights> no_weights;
   const std::vector<int> no_widths;
   const std::vector<int> one_width = {32};
-  EXPECT_THROW(make_table4(soc, no_widths, one_weight, base),
+  EXPECT_THROW(make_table4(soc, no_widths, one_weight),
                InfeasibleError);
-  EXPECT_THROW(make_table4(soc, one_width, no_weights, base),
+  EXPECT_THROW(make_table4(soc, one_width, no_weights),
                InfeasibleError);
 }
 
