@@ -12,9 +12,10 @@
 #include "msoc/mswrap/partition.hpp"
 #include "msoc/soc/benchmarks.hpp"
 #include "msoc/tam/interval_set.hpp"
-#include "msoc/tam/level_profile.hpp"
+#include "msoc/tam/counters.hpp"
 #include "msoc/tam/packing.hpp"
 #include "msoc/tam/skyline.hpp"
+#include "msoc/tam/timeline.hpp"
 #include "msoc/wrapper/wrapper_design.hpp"
 
 namespace {
@@ -127,57 +128,58 @@ void BM_SkylineAdd(benchmark::State& state) {
 BENCHMARK(BM_SkylineAdd)->RangeMultiplier(4)->Range(64, 4096)
     ->Complexity(benchmark::oAuto);
 
-// One p93791m-sized wire timeline end to end: ~40 tests, each probed
-// first-fit from cycle 0 along the retry chain, then reserved — the
-// mix of probes and adds one greedy pass of the packer makes.
-void BM_LevelProfilePack(benchmark::State& state) {
-  constexpr long long kCapacity = 32;
+// One p93791m-sized wire timeline end to end: ~40 tests, each placed
+// first-fit from cycle 0 by the packer's own Timeline (watermark, probe
+// and retry chain), then reserved — the mix of probes and adds one
+// greedy pass of the packer makes.
+void BM_TimelinePack(benchmark::State& state) {
+  constexpr int kCapacity = 32;
   constexpr int kTests = 40;
   Rng rng(40);
-  std::vector<std::pair<long long, Cycles>> tests;  // (wires, duration)
+  std::vector<std::pair<int, Cycles>> tests;  // (wires, duration)
   for (int i = 0; i < kTests; ++i) {
     tests.emplace_back(rng.uniform_int(1, 16), rng.uniform_u64(1000, 200000));
   }
-  std::uint64_t visited = 0;
+  const tam::IntervalSet none;
+  tam::reset_pack_counters();
   for (auto _ : state) {
-    tam::LevelProfile<long long> wires(kCapacity);
+    tam::Timeline timeline(kCapacity, 0.0, {});
     for (const auto& [width, duration] : tests) {
-      Cycles start = 0;
-      Cycles retry = 0;
-      while (!wires.window_free(start, width, duration, &retry, &visited)) {
-        start = retry;
-      }
-      wires.reserve(start, duration, width);
+      const Cycles start =
+          timeline.earliest_feasible(width, 0.0, duration, none);
+      timeline.reserve(start, duration, width, 0.0);
     }
-    benchmark::DoNotOptimize(wires.skyline().segment_count());
+    benchmark::DoNotOptimize(timeline.watermark(kCapacity));
   }
+  const std::uint64_t visited = tam::snapshot_pack_counters().events_visited;
   state.counters["events_per_pack"] = benchmark::Counter(
       state.iterations() == 0
           ? 0.0
           : static_cast<double>(visited) /
                 static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_LevelProfilePack);
+BENCHMARK(BM_TimelinePack);
 
-// The packer's wire admission probe against a populated profile,
-// reported with the deterministic per-op counter (skyline events per
-// check) so the number CI gates on is visible right next to the wall
-// time.
-void BM_WireWindowFree(benchmark::State& state) {
+// The packer's wire admission probe (tam::level_free) against a
+// populated wire skyline, reported with the deterministic per-op
+// counter (skyline events per check) so the number CI gates on is
+// visible right next to the wall time.
+void BM_WireLevelFree(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
   constexpr long long kCapacity = 32;
   Rng rng(static_cast<std::uint64_t>(n) + 3);
-  tam::LevelProfile<long long> profile(kCapacity);
+  tam::Skyline<long long> wires;
   for (int i = 0; i < n; ++i) {
-    profile.reserve(rng.uniform_u64(0, static_cast<Cycles>(n) * 10),
-                    rng.uniform_u64(10, 200), rng.uniform_int(1, 12));
+    const Cycles start = rng.uniform_u64(0, static_cast<Cycles>(n) * 10);
+    const Cycles duration = rng.uniform_u64(10, 200);
+    wires.add(start, start + duration, rng.uniform_int(1, 12));
   }
   std::uint64_t visited = 0;
   Cycles probe = 0;
   for (auto _ : state) {
     Cycles retry = 0;
     benchmark::DoNotOptimize(
-        profile.window_free(probe, 8, 64, &retry, &visited));
+        tam::level_free(wires, kCapacity, probe, 8LL, 64, &retry, &visited));
     probe = (probe + 131) % (static_cast<Cycles>(n) * 10);
   }
   state.counters["events_per_check"] = benchmark::Counter(
@@ -187,7 +189,7 @@ void BM_WireWindowFree(benchmark::State& state) {
                 static_cast<double>(state.iterations()));
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_WireWindowFree)->RangeMultiplier(4)->Range(64, 4096)
+BENCHMARK(BM_WireLevelFree)->RangeMultiplier(4)->Range(64, 4096)
     ->Complexity(benchmark::oLogN);
 
 // The staircases are built once outside the timed loop, as

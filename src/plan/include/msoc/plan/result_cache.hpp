@@ -214,7 +214,9 @@ class ResultCache {
   /// O(overlay) work and one fsync per dirty shard, under an exclusive
   /// per-shard file lock (torn tails left by killed writers are
   /// truncated here before appending).  Shards whose journal grew past
-  /// the compaction threshold are folded into snapshot files.  No-op
+  /// the compaction threshold are folded into snapshot files.  A shard
+  /// that cannot be written is logged, counted in flush_errors() and
+  /// skipped: a cache may make runs slower, never fail them.  No-op
   /// file-wise for in-memory caches (the overlay still merges, so a
   /// subsequent run() in the same process can hit it).
   void flush();
@@ -238,6 +240,10 @@ class ResultCache {
   [[nodiscard]] long long misses() const;
   [[nodiscard]] long long records() const;
   [[nodiscard]] int corrupt_files() const;
+  /// Shard writes flush() gave up on: a shard directory or journal it
+  /// could not create, open, write or sync.  Their records stay in
+  /// memory only; the flush goes on with the other shards.
+  [[nodiscard]] int flush_errors() const;
   /// Records appended to journals by this cache's flush() calls.
   [[nodiscard]] long long journal_records() const;
   /// Bytes appended to journals by this cache (records + headers).
@@ -354,6 +360,7 @@ class ResultCache {
   mutable long long misses_ = 0;
   long long records_ = 0;
   int corrupt_files_ = 0;
+  int flush_errors_ = 0;
   long long journal_records_ = 0;
   long long journal_bytes_ = 0;
   long long replayed_records_ = 0;

@@ -80,6 +80,7 @@ struct SweepResult {
   long long cache_misses = 0;
   long long cache_records = 0;
   int cache_corrupt_files = 0;
+  int cache_flush_errors = 0;  ///< Serialized only when non-zero.
   /// Replan provenance (replan sweeps only): the baseline digest, the
   /// total baseline-store splices, and the worst series' dirty count.
   std::string replanned_from;

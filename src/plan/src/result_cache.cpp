@@ -582,6 +582,7 @@ bool ResultCache::append_shard_locked(
     // in memory and this shard goes unwritten.
     log_warn("cache journal ", path,
              " is not a regular file; its shard was not written");
+    ++flush_errors_;
     return false;
   }
   FileLock& lock = *locked;
@@ -666,9 +667,18 @@ void ResultCache::flush() {
   if (!disk_backed() || batches.empty()) return;
   ensure_directory(directory_);
   for (const auto& [shard_key, batch] : batches) {
-    ensure_directory(shard_dir(shard_key));
-    // Unless the records stay in the journal, its metas are not there.
-    if (!append_shard_locked(shard_key, batch)) continue;
+    try {
+      ensure_directory(shard_dir(shard_key));
+      // Unless the records stay in the journal, its metas are not there.
+      if (!append_shard_locked(shard_key, batch)) continue;
+    } catch (const Error& e) {
+      // Like a journal that is not a regular file: the records stay in
+      // memory, this shard goes unwritten and the others are flushed.
+      log_warn("cannot write cache shard ", shard_dir(shard_key), ": ",
+               e.what());
+      ++flush_errors_;
+      continue;
+    }
     for (const std::string& digest : meta_digests[shard_key]) {
       stores_[digest].meta_journaled = true;
     }
@@ -791,6 +801,10 @@ long long ResultCache::records() const {
 int ResultCache::corrupt_files() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return corrupt_files_;
+}
+int ResultCache::flush_errors() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return flush_errors_;
 }
 long long ResultCache::journal_records() const {
   const std::lock_guard<std::mutex> lock(mutex_);

@@ -120,7 +120,11 @@ std::string PlanService::stats_reply() const {
         << json_escape(cache_->directory()) << "\",\"hits\":"
         << cache_->hits() << ",\"misses\":" << cache_->misses()
         << ",\"records\":" << cache_->records()
-        << ",\"corrupt_files\":" << cache_->corrupt_files() << "}";
+        << ",\"corrupt_files\":" << cache_->corrupt_files();
+    if (cache_->flush_errors() > 0) {
+      out << ",\"flush_errors\":" << cache_->flush_errors();
+    }
+    out << "}";
   }
   out << "}";
   return out.str();

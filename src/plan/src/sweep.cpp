@@ -94,6 +94,7 @@ SweepResult run_sweep(const SweepConfig& config) {
   const long long base_misses = cache != nullptr ? cache->misses() : 0;
   const long long base_records = cache != nullptr ? cache->records() : 0;
   const int base_corrupt = cache != nullptr ? cache->corrupt_files() : 0;
+  const int base_flush_errors = cache != nullptr ? cache->flush_errors() : 0;
 
   // The sweep clock starts here: the per-SOC setup below (staircase
   // computation, cache file loads) is real sweep work and must stay
@@ -164,6 +165,7 @@ SweepResult run_sweep(const SweepConfig& config) {
     result.cache_misses = cache->misses() - base_misses;
     result.cache_records = cache->records() - base_records;
     result.cache_corrupt_files = cache->corrupt_files() - base_corrupt;
+    result.cache_flush_errors = cache->flush_errors() - base_flush_errors;
   }
   if (!config.replan_from.empty()) {
     result.replanned_from = config.replan_from;
@@ -239,7 +241,11 @@ std::string SweepResult::to_json() const {
     os << "  \"cache\": {\"hits\": " << cache_hits << ", "
        << "\"misses\": " << cache_misses << ", "
        << "\"records\": " << cache_records << ", "
-       << "\"corrupt_files\": " << cache_corrupt_files << "},\n";
+       << "\"corrupt_files\": " << cache_corrupt_files;
+    if (cache_flush_errors > 0) {
+      os << ", \"flush_errors\": " << cache_flush_errors;
+    }
+    os << "},\n";
   }
   os << "  \"total_wall_ms\": " << round_trip_double(total_wall_ms) << ",\n"
      << "  \"cases\": [";

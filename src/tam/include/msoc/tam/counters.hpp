@@ -25,7 +25,7 @@ struct PackCounterSnapshot {
   std::uint64_t admission_checks = 0;  ///< admission probes run.
   std::uint64_t events_visited = 0;    ///< skyline segments walked.
   std::uint64_t retries = 0;           ///< failed admission probes.
-  std::uint64_t reservations = 0;      ///< envelopes reserved into.
+  std::uint64_t reservations = 0;      ///< wires + one per active budget.
 };
 
 /// Adds `counts` to the process-wide totals (thread-safe).

@@ -11,7 +11,6 @@
 #include "msoc/common/error.hpp"
 #include "msoc/tam/interval_set.hpp"
 #include "msoc/tam/timeline.hpp"
-#include "msoc/tam/windowed_power.hpp"
 #include "msoc/wrapper/wrapper_design.hpp"
 
 namespace msoc::tam {
@@ -619,15 +618,15 @@ Packer::Packer(const soc::Soc& soc, int tam_width,
   // (min(duration, window) in the integral makes the longest shape the
   // binding one), so the windowed retry fixpoint always terminates.
   if (window_.active()) {
-    const WindowedPowerProfile probe(window_.cycles, window_.limit);
     for (const DigitalItem& d : digital_) {
-      require(probe.admits_alone(d.power, d.pareto.front().time),
+      require(Timeline::window_admits_alone(window_, d.power,
+                                            d.pareto.front().time),
               "test power exceeds the windowed power budget: " +
                   d.core->name);
     }
     for (const std::vector<AnalogRect>& rects : analog_) {
       for (const AnalogRect& r : rects) {
-        require(probe.admits_alone(r.power, r.duration),
+        require(Timeline::window_admits_alone(window_, r.power, r.duration),
                 "test power exceeds the windowed power budget: " +
                     r.core->name);
       }

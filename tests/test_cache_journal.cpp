@@ -5,10 +5,13 @@
 // counting, old-layout stores being ignored, LRU eviction, and the
 // EntryKey NaN regression.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -246,6 +249,7 @@ TEST(CacheJournal, FifoJournalSkipsItsShardAndFlushesTheRest) {
       << "waited for a peer";
   EXPECT_EQ(fs::status(journal_file(dir)).type(), fs::file_type::fifo);
   EXPECT_EQ(cache.lookup(kDigest, key_of(16, 0.0, 0)), Cycles{100});
+  EXPECT_EQ(cache.flush_errors(), 1);
 
   ResultCache reader(dir);
   reader.open(kOther);
@@ -264,6 +268,38 @@ TEST(CacheJournal, DirectoryJournalSkipsItsShard) {
   ASSERT_NO_THROW(cache.flush());
   EXPECT_TRUE(fs::is_directory(journal_file(dir)));
   EXPECT_EQ(cache.lookup(kDigest, key_of(16, 0.0, 0)), Cycles{100});
+}
+
+TEST(CacheJournal, FailedJournalWriteSkipsItsShard) {
+  // A write that fails (here: past RLIMIT_FSIZE, with SIGXFSZ ignored
+  // so the write returns EFBIG) is counted and skipped like a FIFO
+  // journal: flush() does not throw and lookups still answer from
+  // memory.  The limit would bind every later write of this process,
+  // so a child runs the flush.
+  const std::string dir = fresh_dir("fsize");
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlimit limit{8, 8};
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(3);
+    try {
+      ResultCache cache(dir);
+      cache.open(kDigest, "socname");
+      cache.record(kDigest, key_of(16, 0.0, 0), "a", 100);
+      cache.flush();
+      const bool answered =
+          cache.lookup(kDigest, key_of(16, 0.0, 0)) == Cycles{100};
+      ::_exit(answered && cache.flush_errors() == 1 ? 0 : 2);
+    } catch (...) {
+      ::_exit(1);
+    }
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1: flush threw, 2: lookup or flush_errors wrong, 3: setrlimit";
 }
 
 TEST(CacheJournal, SecondFlushIsAnAppendNotARewrite) {

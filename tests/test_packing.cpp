@@ -11,10 +11,8 @@
 #include "msoc/soc/benchmarks.hpp"
 #include "msoc/tam/counters.hpp"
 #include "msoc/tam/interval_set.hpp"
-#include "msoc/tam/level_profile.hpp"
 #include "msoc/tam/skyline.hpp"
 #include "msoc/tam/timeline.hpp"
-#include "msoc/tam/windowed_power.hpp"
 #include "powered_fixtures.hpp"
 #include "msoc/tam/schedule.hpp"
 
@@ -307,35 +305,38 @@ TEST(TimelineCounters, CountedOncePerTimelineWhenItEnds) {
   EXPECT_EQ(c.events_visited, 5u);
 }
 
-// --- LevelProfile<double>: the peak power budget. ---
+// --- level_free on the power skyline: the peak power budget. ---
 
 TEST(PowerLevelRetry, WindowAndRetrySemantics) {
-  LevelProfile<double> profile(100.0, budget_slack(100.0));
-  profile.reserve(0, 50, 70.0);
-  profile.reserve(50, 50, 40.0);
+  const double limit = 100.0 + budget_slack(100.0);
+  Skyline<double> power;
+  power.add(0, 50, 70.0);
+  power.add(50, 100, 40.0);
   Cycles retry = 0;
   std::uint64_t visited = 0;
   // 70 + 40 > 100 before t=50; from 50 only 40 is drawn.
-  EXPECT_FALSE(profile.window_free(0, 40.0, 10, &retry, &visited));
+  EXPECT_FALSE(level_free(power, limit, 0, 40.0, 10, &retry, &visited));
   EXPECT_EQ(retry, 50u);
-  EXPECT_TRUE(profile.window_free(50, 40.0, 10, &retry, &visited));
+  EXPECT_TRUE(level_free(power, limit, 50, 40.0, 10, &retry, &visited));
   // A window straddling the 70->40 step fails until the step.
   retry = 0;
-  EXPECT_FALSE(profile.window_free(40, 60.0, 20, &retry, &visited));
+  EXPECT_FALSE(level_free(power, limit, 40, 60.0, 20, &retry, &visited));
   EXPECT_EQ(retry, 50u);
-  EXPECT_TRUE(profile.window_free(100, 100.0, 10, &retry, &visited));
+  EXPECT_TRUE(level_free(power, limit, 100, 100.0, 10, &retry, &visited));
 }
 
 TEST(PowerLevelRetry, ExactBudgetLoadFitsAfterDrain) {
   // Float residue from +/- accumulation must not block a full-budget
   // load once everything else ended.
-  LevelProfile<double> profile(100.0, budget_slack(100.0));
+  Skyline<double> power;
   for (int i = 0; i < 100; ++i) {
-    profile.reserve(static_cast<Cycles>(i), 1, 0.1 + i * 0.001);
+    power.add(static_cast<Cycles>(i), static_cast<Cycles>(i) + 1,
+              0.1 + i * 0.001);
   }
   Cycles retry = 0;
   std::uint64_t visited = 0;
-  EXPECT_TRUE(profile.window_free(200, 100.0, 10, &retry, &visited));
+  EXPECT_TRUE(level_free(power, 100.0 + budget_slack(100.0), 200, 100.0, 10,
+                         &retry, &visited));
 }
 
 // --- Power-constrained packing end to end. ---
@@ -413,41 +414,42 @@ TEST(PackingPower, UnannotatedSocIgnoresAnyBudget) {
   }
 }
 
-// --- WindowedPowerProfile: the sliding-window admission kernel. ---
+// --- The Timeline's sliding-window admission probe. ---
+//
+// A window-only Timeline wide enough that one wire never binds: the
+// window probe admits a start s exactly when earliest_feasible(1, ...)
+// from s returns s, and when it fails, the retry it reports is the
+// result whenever that retry is admitted.
 
 TEST(WindowedPowerRetry, AdmitsAloneClipsAtTheWindow) {
-  const WindowedPowerProfile p(10, 5.0);  // budget: 50 power-cycles
-  EXPECT_TRUE(p.admits_alone(5.0, 10));
-  EXPECT_TRUE(p.admits_alone(5.0, 1000));  // integral clips at the window
-  EXPECT_TRUE(p.admits_alone(25.0, 2));    // 50 exactly
-  EXPECT_FALSE(p.admits_alone(25.0, 3));   // 75
-  EXPECT_FALSE(p.admits_alone(5.1, 10));
+  const soc::PowerWindow w{10, 5.0};  // budget: 50 power-cycles
+  EXPECT_TRUE(Timeline::window_admits_alone(w, 5.0, 10));
+  EXPECT_TRUE(Timeline::window_admits_alone(w, 5.0, 1000));  // clips at W
+  EXPECT_TRUE(Timeline::window_admits_alone(w, 25.0, 2));    // 50 exactly
+  EXPECT_FALSE(Timeline::window_admits_alone(w, 25.0, 3));   // 75
+  EXPECT_FALSE(Timeline::window_admits_alone(w, 5.1, 10));
 }
 
 TEST(WindowedPowerRetry, RetryAdvancesToTheNextBreakpoint) {
-  WindowedPowerProfile p(10, 5.0);
-  p.reserve(0, 10, 5.0);  // saturates every window touching [0, 10)
-  Cycles retry = 0;
-  std::uint64_t visited = 0;
-  EXPECT_FALSE(p.window_free(3, 5.0, 5, &retry, &visited));
-  EXPECT_EQ(retry, 10u);
-  // From the breakpoint every straddling window sums to exactly the
-  // budget: admitted (within slack), like the peak budget's exact fit.
-  EXPECT_TRUE(p.window_free(10, 5.0, 5, &retry, &visited));
+  Timeline t(64, 0.0, soc::PowerWindow{10, 5.0});
+  t.reserve(0, 10, 1, 5.0);  // saturates every window touching [0, 10)
+  // From 3 the retry is the breakpoint at 10, where every straddling
+  // window sums to exactly the budget: admitted (within slack), like
+  // the peak budget's exact fit.
+  EXPECT_EQ(t.earliest_feasible(1, 5.0, 5, {}, 3), 10u);
+  EXPECT_EQ(t.earliest_feasible(1, 5.0, 5, {}, 10), 10u);
 }
 
 TEST(WindowedPowerRetry, RetryJumpsPastTheDrainWhenBreakpointsRunOut) {
-  WindowedPowerProfile p(10, 5.0);
-  p.reserve(0, 10, 5.0);
-  Cycles retry = 0;
-  std::uint64_t visited = 0;
+  Timeline t(64, 0.0, soc::PowerWindow{10, 5.0});
+  t.reserve(0, 10, 1, 5.0);
   // A short hot burst (admissible alone: 10*4 = 40 <= 50) fails at a
   // start past the last load breakpoint — the only remaining probe is
   // one full window past the drain, where no window mixes it with the
   // old load.
-  EXPECT_FALSE(p.window_free(11, 10.0, 4, &retry, &visited));
-  EXPECT_EQ(retry, 20u);  // drain end (10) + window (10)
-  EXPECT_TRUE(p.window_free(20, 10.0, 4, &retry, &visited));
+  EXPECT_EQ(t.earliest_feasible(1, 10.0, 4, {}, 11),
+            20u);  // drain end (10) + window (10)
+  EXPECT_EQ(t.earliest_feasible(1, 10.0, 4, {}, 20), 20u);
 }
 
 TEST(WindowedPowerRetry, AgreesWithABruteForceWindowScan) {
@@ -456,7 +458,7 @@ TEST(WindowedPowerRetry, AgreesWithABruteForceWindowScan) {
   // placements keep the whole timeline within budget.
   constexpr Cycles kWindow = 7;
   constexpr double kBudget = 63.0;  // limit 9 * window 7
-  WindowedPowerProfile p(kWindow, 9.0);
+  Timeline t(64, 0.0, soc::PowerWindow{kWindow, 9.0});
   struct Placed {
     Cycles start, end;
     double power;
@@ -474,25 +476,24 @@ TEST(WindowedPowerRetry, AgreesWithABruteForceWindowScan) {
     double worst = 0.0;  // exhaustive scan, every integer window start
     for (Cycles w = 0; w < 80; ++w) {
       double integral = 0.0;
-      for (const Placed& t : placed) {
-        const Cycles lo = std::max(w, t.start);
-        const Cycles hi = std::min(w + kWindow, t.end);
-        if (hi > lo) integral += t.power * static_cast<double>(hi - lo);
+      for (const Placed& p : placed) {
+        const Cycles lo = std::max(w, p.start);
+        const Cycles hi = std::min(w + kWindow, p.end);
+        if (hi > lo) integral += p.power * static_cast<double>(hi - lo);
       }
       const Cycles lo = std::max(w, start);
       const Cycles hi = std::min(w + kWindow, start + duration);
       if (hi > lo) integral += power * static_cast<double>(hi - lo);
       worst = std::max(worst, integral);
     }
-    Cycles retry = 0;
-    std::uint64_t visited = 0;
-    const bool free = p.window_free(start, power, duration, &retry, &visited);
+    const Cycles at = t.earliest_feasible(1, power, duration, {}, start);
+    const bool free = at == start;
     EXPECT_EQ(free, worst <= kBudget + 1e-6) << "placement " << i;
     if (free) {
-      p.reserve(start, duration, power);
+      t.reserve(start, duration, 1, power);
       placed.push_back({start, start + duration, power});
     } else {
-      EXPECT_GT(retry, start) << "placement " << i;
+      EXPECT_GT(at, start) << "placement " << i;
     }
   }
 }

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <random>
 #include <regex>
@@ -23,6 +24,7 @@
 #include "msoc/plan/frontier.hpp"
 #include "msoc/plan/request.hpp"
 #include "msoc/soc/benchmarks.hpp"
+#include "msoc/soc/digest.hpp"
 
 namespace {
 
@@ -110,6 +112,35 @@ TEST(PlanService, FrontierDocumentMatchesTheEngine) {
   const std::string csv = reply.at("csv").as_string();
   EXPECT_EQ(csv.substr(0, csv.find('\n')),
             expected.to_csv().substr(0, expected.to_csv().find('\n')));
+}
+
+TEST(PlanService, StatsCountUnwritableCacheShards) {
+  // d695m's shard path taken by a regular file: the request still
+  // succeeds, and the stats cache block gains flush_errors, which a
+  // clean cache leaves out.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("msoc_service_unwritable_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string shard =
+      msoc::soc::digest_hex(msoc::soc::make_d695m()).substr(0, 2);
+  std::ofstream(dir / shard).put('x');
+  const std::string request =
+      R"({"schema":"msoc-rpc-v1","op":"frontier","bench":"d695m",)"
+      R"("widths":[16]})";
+  const std::string kStats = R"({"schema":"msoc-rpc-v1","op":"stats"})";
+
+  PlanService service(dir.string());
+  EXPECT_TRUE(reply_of(service, request).at("ok").as_bool());
+  EXPECT_NE(service.handle(kStats).find(R"(,"flush_errors":1})"),
+            std::string::npos)
+      << service.handle(kStats);
+
+  PlanService clean((dir / "clean").string());
+  EXPECT_TRUE(reply_of(clean, request).at("ok").as_bool());
+  EXPECT_EQ(clean.handle(kStats).find("flush_errors"), std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(PlanService, RepeatedRequestHitsTheMemoBitIdentically) {

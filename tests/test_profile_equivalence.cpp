@@ -1,10 +1,11 @@
-// Property tests pinning the skyline-backed LevelProfile (wires and peak
-// power) to the historical delta-map implementations it replaced, and
-// the packer's Timeline to the plain probe-from-origin alternation over
-// those references.  The reference classes below are verbatim ports of
-// the pre-refactor code (prefix-sum walks over a +/- delta map,
-// fixpoint advance over an unsorted blocked vector); the bit-identity
-// claim in the refactor is that the coalescing structures return the
+// Property tests pinning the skyline level probe (tam::level_free, for
+// wires and peak power) to the historical delta-map implementations it
+// replaced, and the packer's Timeline to the plain probe-from-origin
+// alternation over those references.  The reference classes below are
+// verbatim ports of the pre-refactor code (prefix-sum walks over a +/-
+// delta map, fixpoint advance over an unsorted blocked vector, and the
+// standalone sliding-window profile that kept its own power skyline);
+// the bit-identity claim is that the coalescing structures return the
 // SAME fit/no-fit answer and the SAME retry time on every query — which
 // is what these tests check on randomized workloads.
 
@@ -20,10 +21,8 @@
 #include "msoc/common/error.hpp"
 #include "msoc/common/rng.hpp"
 #include "msoc/tam/interval_set.hpp"
-#include "msoc/tam/level_profile.hpp"
 #include "msoc/tam/skyline.hpp"
 #include "msoc/tam/timeline.hpp"
-#include "msoc/tam/windowed_power.hpp"
 
 namespace msoc::tam {
 namespace {
@@ -172,11 +171,154 @@ class ReferencePowerProfile {
   std::map<Cycles, double> delta_;
 };
 
+/// The pre-refactor sliding-window profile, verbatim: its own power
+/// skyline, a prefix-integral table built per probe, and the
+/// next-breakpoint / past-the-drain retry.
+class WindowedPowerProfile {
+ public:
+  /// `window` cycles, `limit` average power (both > 0; an unwindowed
+  /// schedule never builds a WindowedPowerProfile).
+  WindowedPowerProfile(Cycles window, double limit)
+      : window_(window),
+        limit_(limit),
+        budget_(limit * static_cast<double>(window)),
+        // On the integral scale: the prefix sums accumulate ~1 ulp of
+        // residue per segment.
+        slack_(budget_slack(budget_)) {
+    check_invariant(window > 0 && limit > 0.0,
+                    "power window needs a positive length and limit");
+  }
+
+  /// True when a single test of `power` over `duration` cycles can ever
+  /// satisfy the window on an empty timeline.  Callers must pre-check
+  /// this (like the peak budget's peak_test_power() gate) so the retry
+  /// fixpoint is guaranteed to terminate.
+  [[nodiscard]] bool admits_alone(double power, Cycles duration) const {
+    return power * static_cast<double>(std::min(duration, window_)) <=
+           budget_ + slack_;
+  }
+
+  /// True when every window overlapping [start, start+duration) stays
+  /// within budget with a `power` load added over that span.  On
+  /// failure *retry_at is a strictly later start worth probing.  Adds
+  /// the segments walked to *visited.
+  [[nodiscard]] bool window_free(Cycles start, double power, Cycles duration,
+                                 Cycles* retry_at,
+                                 std::uint64_t* visited) const {
+    const Cycles lo = start >= window_ ? start - window_ : 0;
+    const Cycles end = start + duration;  // exclusive window-start bound
+    const Cycles span_end = end + window_;
+
+    // Clipped segment table over [lo, span_end): breakpoint times,
+    // levels, and the prefix integral of the EXISTING load from lo.
+    std::vector<Cycles> times;
+    std::vector<double> levels;
+    std::vector<double> prefix;
+    const_iterator at = load_.floor(lo);
+    times.push_back(lo);
+    levels.push_back(at == load_.end() ? 0.0 : at->second);
+    prefix.push_back(0.0);
+    ++*visited;
+    const_iterator it = at == load_.end() ? load_.begin() : std::next(at);
+    for (; it != load_.end() && it->first < span_end; ++it) {
+      ++*visited;
+      prefix.push_back(prefix.back() +
+                       levels.back() *
+                           static_cast<double>(it->first - times.back()));
+      times.push_back(it->first);
+      levels.push_back(it->second);
+    }
+    // Existing-load integral from lo to x (x inside the clipped span).
+    const auto integral_to = [&](Cycles x) {
+      const auto seg = std::upper_bound(times.begin(), times.end(), x);
+      const std::size_t i =
+          static_cast<std::size_t>(seg - times.begin()) - 1;
+      return prefix[i] + levels[i] * static_cast<double>(x - times[i]);
+    };
+
+    // Candidate window starts: every point where the sliding integral
+    // can kink — each breakpoint of the combined signal, as a window
+    // start and as a window end — clamped into [lo, end).
+    std::vector<Cycles> starts;
+    starts.reserve(2 * (times.size() + 2) + 1);
+    const auto push = [&](Cycles w) {
+      if (w >= lo && w < end) starts.push_back(w);
+    };
+    push(lo);
+    const auto push_edges = [&](Cycles t) {
+      push(t);
+      if (t >= window_) push(t - window_);
+    };
+    for (const Cycles t : times) push_edges(t);
+    push_edges(start);
+    push_edges(end);
+    std::sort(starts.begin(), starts.end());
+    starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
+
+    for (const Cycles w : starts) {
+      const Cycles w_end = w + window_;
+      const double existing = integral_to(w_end) - integral_to(w);
+      const Cycles overlap_lo = std::max(w, start);
+      const Cycles overlap_hi = std::min(w_end, end);
+      const double added =
+          overlap_hi > overlap_lo
+              ? power * static_cast<double>(overlap_hi - overlap_lo)
+              : 0.0;
+      if (existing + added > budget_ + slack_) {
+        *retry_at = next_retry(start, visited);
+        return false;
+      }
+    }
+    return true;
+  }
+
+  void reserve(Cycles start, Cycles duration, double power) {
+    load_.add(start, start + duration, power);
+    drain_end_ = std::max(drain_end_, start + duration);
+  }
+
+  [[nodiscard]] Cycles window() const noexcept { return window_; }
+  [[nodiscard]] double limit() const noexcept { return limit_; }
+
+  /// The underlying envelope (tests and benches introspect it).
+  [[nodiscard]] const Skyline<double>& skyline() const noexcept {
+    return load_;
+  }
+
+ private:
+  using const_iterator = Skyline<double>::const_iterator;
+
+  /// Strictly-later retry start: the next load breakpoint after
+  /// `start`, or — once past every breakpoint — one full window past
+  /// the drain, where no window mixes the candidate with old load and
+  /// admits_alone() (pre-checked by the packer) guarantees admission.
+  Cycles next_retry(Cycles start, std::uint64_t* visited) const {
+    const_iterator at = load_.floor(start);
+    const_iterator it = at == load_.end() ? load_.begin() : std::next(at);
+    if (it != load_.end()) {
+      ++*visited;
+      return it->first;
+    }
+    const Cycles clear = drain_end_ + window_;
+    check_invariant(clear > start,
+                    "windowed power budget never admits the test");
+    return clear;
+  }
+
+  Cycles window_;
+  double limit_;
+  double budget_;  ///< limit * window: the per-window integral cap.
+  double slack_;
+  Cycles drain_end_ = 0;  ///< End of the last reservation.
+  Skyline<double> load_;
+};
+
 TEST(ProfileEquivalence, WireLevelsMatchDeltaMapOnRandomWorkloads) {
   Rng rng(20260808);
   for (int round = 0; round < 25; ++round) {
     const int capacity = rng.uniform_int(8, 32);
-    LevelProfile<long long> skyline(capacity);
+    Skyline<long long> skyline;
+    const long long limit = capacity;
     ReferenceUsageProfile reference(capacity);
 
     // Interleave reservations and probes so the profiles are compared
@@ -186,7 +328,7 @@ TEST(ProfileEquivalence, WireLevelsMatchDeltaMapOnRandomWorkloads) {
         const Cycles start = rng.uniform_u64(0, 500);
         const Cycles duration = rng.uniform_u64(1, 80);
         const int width = rng.uniform_int(1, capacity);
-        skyline.reserve(start, duration, width);
+        skyline.add(start, start + duration, width);
         reference.reserve(start, duration, width);
         continue;
       }
@@ -196,8 +338,9 @@ TEST(ProfileEquivalence, WireLevelsMatchDeltaMapOnRandomWorkloads) {
       Cycles new_retry = 0;
       Cycles old_retry = 0;
       std::uint64_t visited = 0;
-      const bool new_free =
-          skyline.window_free(start, width, duration, &new_retry, &visited);
+      const bool new_free = level_free(skyline, limit, start,
+                                       static_cast<long long>(width),
+                                       duration, &new_retry, &visited);
       const bool old_free =
           reference.window_free(start, width, duration, {}, &old_retry);
       ASSERT_EQ(new_free, old_free)
@@ -216,14 +359,15 @@ TEST(ProfileEquivalence, BlockedWindowsMatchTheHistoricalFixpoint) {
   Rng rng(31337);
   for (int round = 0; round < 25; ++round) {
     const int capacity = rng.uniform_int(4, 16);
-    LevelProfile<long long> skyline(capacity);
+    Skyline<long long> skyline;
+    const long long limit = capacity;
     Timeline timeline(capacity, 0.0, {});
     ReferenceUsageProfile reference(capacity);
     for (int i = 0; i < 15; ++i) {
       const Cycles start = rng.uniform_u64(0, 300);
       const Cycles duration = rng.uniform_u64(1, 60);
       const int width = rng.uniform_int(1, capacity);
-      skyline.reserve(start, duration, width);
+      skyline.add(start, start + duration, width);
       timeline.reserve(start, duration, width, 0.0);
       reference.reserve(start, duration, width);
     }
@@ -249,7 +393,8 @@ TEST(ProfileEquivalence, BlockedWindowsMatchTheHistoricalFixpoint) {
       std::uint64_t visited = 0;
       const bool new_free =
           new_retry == start &&
-          skyline.window_free(start, width, duration, &new_retry, &visited);
+          level_free(skyline, limit, start, static_cast<long long>(width),
+                     duration, &new_retry, &visited);
       const bool old_free =
           reference.window_free(start, width, duration, raw, &old_retry);
       ASSERT_EQ(new_free, old_free)
@@ -271,14 +416,15 @@ TEST(ProfileEquivalence, PowerLevelsMatchDeltaMapOnDyadicLoads) {
   Rng rng(555);
   for (int round = 0; round < 25; ++round) {
     const double budget = 0.25 * rng.uniform_int(8, 64);
-    LevelProfile<double> skyline(budget, budget_slack(budget));
+    Skyline<double> skyline;
+    const double limit = budget + budget_slack(budget);
     ReferencePowerProfile reference(budget);
     for (int op = 0; op < 120; ++op) {
       const double power = 0.25 * rng.uniform_int(1, 32);
       if (rng.uniform_int(0, 2) == 0 && power <= budget) {
         const Cycles start = rng.uniform_u64(0, 500);
         const Cycles duration = rng.uniform_u64(1, 80);
-        skyline.reserve(start, duration, power);
+        skyline.add(start, start + duration, power);
         reference.reserve(start, duration, power);
         continue;
       }
@@ -288,8 +434,8 @@ TEST(ProfileEquivalence, PowerLevelsMatchDeltaMapOnDyadicLoads) {
       Cycles new_retry = 0;
       Cycles old_retry = 0;
       std::uint64_t visited = 0;
-      const bool new_free =
-          skyline.window_free(start, power, duration, &new_retry, &visited);
+      const bool new_free = level_free(skyline, limit, start, power,
+                                       duration, &new_retry, &visited);
       const bool old_free =
           reference.window_free(start, power, duration, &old_retry);
       ASSERT_EQ(new_free, old_free)
@@ -308,14 +454,15 @@ TEST(ProfileEquivalence, PowerLevelsMatchDeltaMapOnArbitraryLoads) {
   Rng rng(777);
   for (int round = 0; round < 15; ++round) {
     const double budget = rng.uniform(5.0, 50.0);
-    LevelProfile<double> skyline(budget, budget_slack(budget));
+    Skyline<double> skyline;
+    const double limit = budget + budget_slack(budget);
     ReferencePowerProfile reference(budget);
     for (int op = 0; op < 100; ++op) {
       const double power = rng.uniform(0.1, budget);
       if (rng.uniform_int(0, 2) == 0) {
         const Cycles start = rng.uniform_u64(0, 400);
         const Cycles duration = rng.uniform_u64(1, 60);
-        skyline.reserve(start, duration, power);
+        skyline.add(start, start + duration, power);
         reference.reserve(start, duration, power);
         continue;
       }
@@ -324,8 +471,8 @@ TEST(ProfileEquivalence, PowerLevelsMatchDeltaMapOnArbitraryLoads) {
       Cycles new_retry = 0;
       Cycles old_retry = 0;
       std::uint64_t visited = 0;
-      const bool new_free =
-          skyline.window_free(start, power, duration, &new_retry, &visited);
+      const bool new_free = level_free(skyline, limit, start, power,
+                                       duration, &new_retry, &visited);
       const bool old_free =
           reference.window_free(start, power, duration, &old_retry);
       ASSERT_EQ(new_free, old_free)
@@ -381,7 +528,10 @@ struct ReferenceTimeline {
 
 TEST(ProfileEquivalence, TimelineMatchesTheUnwatermarkedAlternation) {
   // Interleaved reserve/probe sequences under every combination of
-  // peak and windowed budgets, with blocked sets and non-zero origins.
+  // peak and windowed budgets — neither, peak only, window only, and
+  // both at once, where the two budgets probe the Timeline's one power
+  // skyline while the reference keeps one envelope each — with blocked
+  // sets and non-zero origins.
   // Most reservations land where the probe put them (as in the
   // packer); some land anywhere, overloading the envelopes so the
   // retry paths of every profile get exercised.
@@ -403,9 +553,11 @@ TEST(ProfileEquivalence, TimelineMatchesTheUnwatermarkedAlternation) {
       const Cycles duration = rng.uniform_u64(1, 60);
       double load = 0.5 * rng.uniform_int(0, 40);
       if (peak) load = std::min(load, max_power);
-      while (windowed &&
-             !WindowedPowerProfile(power_window.cycles, power_window.limit)
-                  .admits_alone(load, duration)) {
+      while (windowed) {
+        const bool alone =
+            Timeline::window_admits_alone(power_window, load, duration);
+        ASSERT_EQ(alone, reference.window->admits_alone(load, duration));
+        if (alone) break;
         load /= 2.0;
       }
       if (rng.uniform_int(0, 5) == 0) {

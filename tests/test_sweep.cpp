@@ -4,11 +4,14 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <limits>
+#include <string>
 
 #include "msoc/common/error.hpp"
 #include "msoc/plan/result_cache.hpp"
 #include "msoc/soc/benchmarks.hpp"
+#include "msoc/soc/digest.hpp"
 #include "powered_fixtures.hpp"
 
 namespace msoc::plan {
@@ -194,6 +197,37 @@ TEST(Sweep, CacheMakesSecondSweepEvaluationFree) {
     ++shard_dirs;
   }
   EXPECT_EQ(shard_dirs, 1u);  // small_config sweeps one SOC
+}
+
+TEST(Sweep, UnwritableShardIsCountedInTheCacheBlock) {
+  // A regular file where the SOC's shard directory belongs: the flush
+  // skips that shard, the sweep still succeeds, and the cache block
+  // gains flush_errors (absent from documents of clean flushes).
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("msoc_sweep_unwritable_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  SweepConfig config = small_config();
+  const std::string shard = soc::digest_hex(config.socs[0]).substr(0, 2);
+  std::ofstream(dir / shard).put('x');
+
+  ResultCache cache(dir.string());
+  config.frontier.cache = &cache;
+  const SweepResult result = run_sweep(config);
+  EXPECT_EQ(result.cache_flush_errors, 1);
+  // The field closes the block, after corrupt_files (which counts the
+  // unreadable shard path on open).
+  EXPECT_NE(result.to_json().find(", \"flush_errors\": 1},\n"),
+            std::string::npos)
+      << result.to_json();
+  EXPECT_TRUE(std::filesystem::is_regular_file(dir / shard));
+
+  ResultCache clean_cache((dir / "clean").string());
+  config.frontier.cache = &clean_cache;
+  EXPECT_EQ(run_sweep(config).to_json().find("flush_errors"),
+            std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Sweep, DefaultBenchmarkSweepShape) {
